@@ -22,7 +22,6 @@ import (
 	"repro/internal/latency"
 	"repro/internal/metrics"
 	"repro/internal/nps"
-	"repro/internal/optimize"
 	"repro/internal/randx"
 	"repro/internal/serve"
 	"repro/internal/vivaldi"
@@ -105,7 +104,7 @@ func BenchmarkEngineParallel8(b *testing.B) { benchEngineParallel(b, 8) }
 
 // BenchmarkEngineTickSharded measures one sharded Vivaldi tick at the
 // paper's population size on 8 workers (compare BenchmarkVivaldiTick for
-// the sequential in-place sweep).
+// the same kernel inline on one shard).
 func BenchmarkEngineTickSharded(b *testing.B) {
 	m := benchMatrix(1740)
 	cs := engine.NewVivaldi(m, vivaldi.Config{}, 1)
@@ -123,8 +122,8 @@ func BenchmarkEngineTickSharded(b *testing.B) {
 // bit-identical at any worker count.
 
 // BenchmarkTickSharded5k measures one sharded Vivaldi tick at 5000 nodes
-// on 8 workers, steady state (zero heap allocations on the serial path;
-// pool mode adds only goroutine bookkeeping).
+// on 8 workers, steady state (zero heap allocations inline; pool mode
+// adds only goroutine bookkeeping).
 func BenchmarkTickSharded5k(b *testing.B) {
 	m := benchMatrix(5000)
 	cs := engine.NewVivaldi(m, vivaldi.Config{}, 1)
@@ -427,23 +426,25 @@ func BenchmarkNPSRound(b *testing.B) {
 	}
 }
 
-// BenchmarkSimplexDownhill8D measures one NPS-style positioning solve.
+// BenchmarkSimplexDownhill8D measures one NPS-style positioning solve on a
+// warm host solver.
 func BenchmarkSimplexDownhill8D(b *testing.B) {
 	space := Euclidean(8)
 	rng := randSource(3)
-	anchors := make([]Coord, 20)
+	anchors := make([]float64, 0, 20*space.Dims)
 	rtts := make([]float64, 20)
 	host := space.Random(rng, 100)
-	for i := range anchors {
-		anchors[i] = space.Random(rng, 100)
-		rtts[i] = space.Dist(host, anchors[i]) * (1 + 0.1*rng.NormFloat64())
+	for i := range rtts {
+		a := space.Random(rng, 100)
+		anchors = append(anchors, a.V...)
+		rtts[i] = space.Dist(host, a) * (1 + 0.1*rng.NormFloat64())
 	}
-	obj := gnp.Objective(space, anchors, rtts)
-	x0 := make([]float64, 8)
+	var hs gnp.HostSolver
+	start := space.Zero()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		optimize.Minimize(obj, x0, optimize.Options{MaxIter: 800, InitStep: 25})
+		hs.Position(space, anchors, rtts, true, start, rng, 800)
 	}
 }
 

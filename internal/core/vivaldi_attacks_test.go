@@ -15,6 +15,21 @@ func smallVivaldi(n int, seed int64) (*latency.Matrix, *vivaldi.System) {
 	return m, vivaldi.NewSystem(m, vivaldi.Config{}, seed+1)
 }
 
+// sampleOnly runs ticks during which victim's probes reach only attacker:
+// a partition severs victim from every other node, so each tick victim
+// either samples attacker or loses its probe.
+func sampleOnly(s *vivaldi.System, victim, attacker, ticks int) {
+	side := make([]bool, s.Size())
+	rest := make([]bool, s.Size())
+	side[victim] = true
+	for i := range rest {
+		rest[i] = i != victim && i != attacker
+	}
+	cut := s.ApplyPartition(side, rest)
+	s.Run(ticks)
+	s.HealPartition(cut)
+}
+
 func TestVivaldiDisorderResponse(t *testing.T) {
 	_, s := smallVivaldi(20, 1)
 	tap := NewVivaldiDisorder(3, 42)
@@ -49,10 +64,7 @@ func TestRepulsionLandsVictimOnTarget(t *testing.T) {
 	s.Run(20) // some initial movement
 	tap := NewVivaldiRepulsion(1, s.Space(), 50000, nil, 5)
 	s.SetTap(1, tap)
-	for k := 0; k < 200; k++ {
-		resp := s.Probe(0, 1)
-		s.ApplyUpdate(0, resp)
-	}
+	s.Run(200) // the attacker is the victim's only spring
 	victim := s.Coord(0)
 	distToTarget := s.Space().Dist(victim, tap.Target)
 	if distToTarget > s.Space().NormOf(tap.Target)*0.05 {
@@ -138,9 +150,7 @@ func TestColludeRepelMovesVictimsAwayFromTarget(t *testing.T) {
 	c := NewConspiracy(0, s.Space(), 5000, 40000, 7)
 	s.SetTap(4, NewVivaldiColludeRepel(4, c, 11))
 	before := s.Space().Dist(s.Coord(2), s.Coord(0))
-	for k := 0; k < 100; k++ {
-		s.ApplyUpdate(2, s.Probe(2, 4))
-	}
+	sampleOnly(s, 2, 4, 1100) // ~100 samples of the attacker
 	after := s.Space().Dist(s.Coord(2), s.Coord(0))
 	if after < before*10 {
 		t.Fatalf("victim only moved from %v to %v away from target", before, after)
@@ -152,9 +162,7 @@ func TestColludeLureMovesTargetIntoCluster(t *testing.T) {
 	s.Run(300)
 	c := NewConspiracy(2, s.Space(), 5000, 40000, 9)
 	s.SetTap(5, NewVivaldiColludeLure(5, c, s.Space(), 13))
-	for k := 0; k < 150; k++ {
-		s.ApplyUpdate(2, s.Probe(2, 5))
-	}
+	sampleOnly(s, 2, 5, 1650) // ~150 samples of the attacker
 	distToCluster := s.Space().Dist(s.Coord(2), c.ClusterCenter)
 	if distToCluster > s.Space().NormOf(c.ClusterCenter)*0.1 {
 		t.Fatalf("lured target still %v from cluster", distToCluster)

@@ -300,10 +300,24 @@ func (n *Node) handleResponse(resp wire.ProbeResponse, from *net.UDPAddr) {
 	if !ok {
 		return // unsolicited, replayed or malformed: cannot shorten RTTs
 	}
-	n.vn.Update(vivaldi.ProbeResponse{
+	// Attribute the sample to the sender's slot in the peer list, so the
+	// per-peer hardening state (latency filter, neighbor decay) engages
+	// exactly as it does for SimNode.
+	n.vn.UpdateFrom(n.peerIndex(from), vivaldi.ProbeResponse{
 		Coord: coordspace.Coord{V: resp.Vec, H: resp.Height},
 		Error: resp.Error,
 		RTT:   rttMs,
 	})
 	n.updates++
+}
+
+// peerIndex returns addr's position in the peer list, or -1 (no
+// attribution). Called with n.mu held.
+func (n *Node) peerIndex(addr *net.UDPAddr) int {
+	for i, p := range n.peers {
+		if p.Port == addr.Port && p.IP.Equal(addr.IP) {
+			return i
+		}
+	}
+	return -1
 }

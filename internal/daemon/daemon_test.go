@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/coordspace"
+	"repro/internal/vivaldi"
 	"repro/internal/wire"
 )
 
@@ -158,6 +159,70 @@ func TestForgedCoordinateDragsVictim(t *testing.T) {
 	space := coordspace.EuclideanHeight(2)
 	if space.NormOf(victim) < 500 {
 		t.Fatalf("victim at %v, not dragged toward the forged coordinate", victim)
+	}
+}
+
+// TestLatencyFilterEngagesOverUDP pins hardening on the real-socket path:
+// a LatencyWindow: 5 daemon probing a scripted loopback responder sees
+// eight ~10 ms round trips and then one 300 ms spike. The per-peer median
+// filter must absorb the spike — the node barely moves — which only
+// happens if responses are attributed to their sender (an unattributed
+// sample skips the filter and throws the node tens of milliseconds).
+func TestLatencyFilterEngagesOverUDP(t *testing.T) {
+	responder, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer responder.Close()
+	n, err := New(Config{
+		ProbeInterval: 30 * time.Millisecond,
+		Vivaldi:       vivaldi.Config{Harden: vivaldi.Hardening{LatencyWindow: 5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.AddPeer(responder.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+
+	// answer serves the node's next probe after delay, then waits for the
+	// sample to be applied.
+	buf := make([]byte, 2048)
+	answer := func(delay time.Duration) {
+		t.Helper()
+		responder.SetReadDeadline(time.Now().Add(5 * time.Second))
+		nb, from, err := responder.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := wire.Decode(buf[:nb])
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := msg.(wire.ProbeRequest)
+		time.Sleep(delay)
+		want := n.Updates() + 1
+		responder.WriteToUDP(wire.AppendResponse(nil, wire.ProbeResponse{
+			Seq: req.Seq, EchoNano: req.SentNano, Error: 0.01, Height: 1, Vec: []float64{5, 0},
+		}), from)
+		for deadline := time.Now().Add(5 * time.Second); n.Updates() < want; {
+			if time.Now().After(deadline) {
+				t.Fatal("response was not applied")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for k := 0; k < 8; k++ {
+		answer(10 * time.Millisecond)
+	}
+	before := n.Coord()
+	answer(300 * time.Millisecond)
+	after := n.Coord()
+	moved := math.Hypot(after.V[0]-before.V[0], after.V[1]-before.V[1]) + math.Abs(after.H-before.H)
+	t.Logf("spike sample moved the node %.2f ms", moved)
+	if moved > 10 {
+		t.Fatalf("one 300 ms spike moved a LatencyWindow:5 node by %.1f ms: the filter did not engage", moved)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/nps"
 	"repro/internal/vivaldi"
@@ -151,7 +152,9 @@ func TestInvalidSpecsRejected(t *testing.T) {
 
 // TestStepParallelMatchesAcrossSharders is the tick-level determinism
 // contract: the same system stepped with Serial and with an 8-worker pool
-// produces identical coordinates, including under attack taps.
+// produces identical coordinates, including under attack taps — and the
+// systems' own Step(), the inline one-shard form of the same kernel, is
+// bit-identical to the pooled StepParallel too.
 func TestStepParallelMatchesAcrossSharders(t *testing.T) {
 	sc := testScale
 	m := BaseMatrix(sc)
@@ -201,6 +204,38 @@ func TestStepParallelMatchesAcrossSharders(t *testing.T) {
 	if fa != fb {
 		t.Fatalf("nps filter stats diverge: %+v vs %+v", fa, fb)
 	}
+
+	va, vb := vivaldi.NewSystem(m, vivaldi.Config{}, 42), vivaldi.NewSystem(m, vivaldi.Config{}, 42)
+	for _, sys := range []*vivaldi.System{va, vb} {
+		for _, id := range []int{1, 5, 9, 13, 21, 34} {
+			sys.SetTap(id, core.NewVivaldiDisorder(id, 42))
+		}
+	}
+	for tick := 0; tick < 60; tick++ {
+		va.Step()
+		vb.StepParallel(pool)
+	}
+	if dumpBits(va.Store(), localErrs(va.Size(), va.LocalError)) != dumpBits(vb.Store(), localErrs(vb.Size(), vb.LocalError)) {
+		t.Fatal("vivaldi Step() diverges from pooled StepParallel")
+	}
+
+	npsCfg := nps.Config{Security: true, ProbeThresholdMS: 5000, SolveIterations: 120}
+	sa, sb := nps.NewSystem(m, npsCfg, 7), nps.NewSystem(m, npsCfg, 7)
+	for _, sys := range []*nps.System{sa, sb} {
+		for _, id := range sys.NodesInLayer(1)[:4] {
+			sys.SetTap(id, core.NewNPSDisorder(id, 7))
+		}
+	}
+	for round := 0; round < 3; round++ {
+		sa.Step()
+		sb.StepParallel(pool)
+	}
+	if dumpBits(sa.Store(), nil) != dumpBits(sb.Store(), nil) {
+		t.Fatal("nps Step() diverges from pooled StepParallel")
+	}
+	if sa.Stats() != sb.Stats() {
+		t.Fatalf("nps Step() filter stats diverge: %+v vs %+v", sa.Stats(), sb.Stats())
+	}
 }
 
 // TestMeasureSharded cross-checks the sharded measurement pass against the
@@ -217,11 +252,11 @@ func TestMeasureSharded(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("sharded measurement diverges")
 	}
-	// The flat-store sweep must agree bit-for-bit with the coordinate-slice
-	// reference implementation.
+	// The coordinate-slice boundary form loads a fresh store and must
+	// agree bit for bit with the sweep over the live one.
 	ref := metrics.NodeErrors(m, cs.Space(), cs.Snapshot(), peers, nil)
 	if !reflect.DeepEqual(want, ref) {
-		t.Fatal("store-based measurement diverges from the reference path")
+		t.Fatal("store-based measurement diverges from metrics.NodeErrors")
 	}
 	// And a caller-provided buffer must be filled in place and returned.
 	buf := make([]float64, cs.Size())

@@ -51,8 +51,8 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestHardenedOffBitIdentical pins the tentpole's zero-cost-off contract:
-// with every Hardening knob at its zero value the full pipeline — serial
-// Step, sharded StepParallel, and the live-UDP backend — reproduces the
+// with every Hardening knob at its zero value the full pipeline — the
+// sharded StepParallel kernel and the live-UDP backend — reproduces the
 // exact pre-change trajectories recorded in testdata/harden/, bit for
 // bit, through both clean convergence and mid-run attack injection.
 func TestHardenedOffBitIdentical(t *testing.T) {
@@ -74,17 +74,6 @@ func TestHardenedOffBitIdentical(t *testing.T) {
 		}
 		checkGolden(t, "off_mem_parallel.golden",
 			dumpBits(sys.Store(), localErrs(sys.Size(), sys.LocalError)))
-	})
-
-	t.Run("mem-serial", func(t *testing.T) {
-		ser := vivaldi.NewSystem(m, vivaldi.Config{}, 42)
-		ser.Run(50)
-		for _, id := range mal {
-			ser.SetTap(id, core.NewVivaldiDisorder(id, 42))
-		}
-		ser.Run(50)
-		checkGolden(t, "off_mem_serial.golden",
-			dumpBits(ser.Store(), localErrs(ser.Size(), ser.LocalError)))
 	})
 
 	t.Run("live", func(t *testing.T) {

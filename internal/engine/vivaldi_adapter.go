@@ -163,7 +163,7 @@ func measure(m latency.Substrate, st *coordspace.Store, peers [][]int, include f
 		out = make([]float64, st.Len())
 	}
 	sh.ForEach(st.Len(), func(_, lo, hi int) {
-		metrics.NodeErrorsStoreRangeAdj(m, st, peers, include, adj, lo, hi, out)
+		metrics.NodeErrorsShard(m, st, peers, include, adj, lo, hi, out)
 	})
 	return out
 }

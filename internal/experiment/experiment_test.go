@@ -2,7 +2,11 @@ package experiment
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -50,6 +54,39 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if got := len(List()); got != len(paperFigures)+len(extras) {
 		t.Errorf("registry has %d experiments, want %d", got, len(paperFigures)+len(extras))
+	}
+}
+
+// TestDocumentedScenariosRegistered holds the docs to the registry: every
+// `vna-sim -scenario <id>` reproduce command in README.md and docs/ must
+// name a registered scenario (`vna-sim -list` prints exactly the registry).
+func TestDocumentedScenariosRegistered(t *testing.T) {
+	files, err := filepath.Glob("../../docs/*.md")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no docs found: %v", err)
+	}
+	files = append(files, "../../README.md")
+	cmd := regexp.MustCompile(`-scenario ([A-Za-z0-9,]+)`)
+	seen := 0
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cmd.FindAllSubmatch(text, -1) {
+			for _, id := range strings.Split(string(m[1]), ",") {
+				if id == "all" {
+					continue
+				}
+				seen++
+				if _, ok := Get(id); !ok {
+					t.Errorf("%s documents `-scenario %s`, which is not registered", filepath.Base(f), id)
+				}
+			}
+		}
+	}
+	if seen < 40 {
+		t.Fatalf("only %d documented scenario commands found — did the docs move?", seen)
 	}
 }
 

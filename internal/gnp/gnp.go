@@ -25,92 +25,21 @@ import (
 	"repro/internal/randx"
 )
 
-// Objective returns GNP's positioning objective for a host: the sum of
-// squared relative errors between the measured RTTs and the distances
-// predicted from position x to each anchor coordinate. Anchors with
-// non-positive measured RTT are skipped.
-func Objective(space coordspace.Space, anchors []coordspace.Coord, rtts []float64) func(x []float64) float64 {
-	return func(x []float64) float64 {
-		c := coordspace.Coord{V: x}
-		sum := 0.0
-		for k, a := range anchors {
-			if rtts[k] <= 0 {
-				continue
-			}
-			pred := space.Dist(c, a)
-			rel := (pred - rtts[k]) / rtts[k]
-			sum += rel * rel
-		}
-		return sum
-	}
-}
-
-// ObjectiveAbsolute returns the sum of squared *absolute* errors in ms².
-// This is the objective NPS host positioning uses (see nps.Config): under
-// it, a constraint with a hugely inflated measured RTT exerts a pull
-// proportional to its absolute misfit, which is exactly the lever the
-// paper's delay-based attacks exploit and the reason NPS needs a probe
-// threshold at all. Anchors with non-positive measured RTT are skipped.
-func ObjectiveAbsolute(space coordspace.Space, anchors []coordspace.Coord, rtts []float64) func(x []float64) float64 {
-	return func(x []float64) float64 {
-		c := coordspace.Coord{V: x}
-		sum := 0.0
-		for k, a := range anchors {
-			if rtts[k] <= 0 {
-				continue
-			}
-			diff := space.Dist(c, a) - rtts[k]
-			sum += diff * diff
-		}
-		return sum
-	}
-}
-
-// PositionHost solves for a host position given anchor coordinates and the
-// host's measured RTTs to them. start is the previous estimate (use the
-// space origin for a fresh host); a small random jitter derived from rng
-// desynchronizes restarts. It returns the new coordinate and the residual
-// objective value.
-func PositionHost(space coordspace.Space, anchors []coordspace.Coord, rtts []float64, start coordspace.Coord, rng *rand.Rand) (coordspace.Coord, float64) {
-	return PositionHostIter(space, anchors, rtts, start, rng, 200*space.Dims)
-}
-
-// PositionHostIter is PositionHost with an explicit Simplex iteration cap,
-// the performance knob NPS exposes as Config.SolveIterations.
-func PositionHostIter(space coordspace.Space, anchors []coordspace.Coord, rtts []float64, start coordspace.Coord, rng *rand.Rand, maxIter int) (coordspace.Coord, float64) {
-	return positionHost(Objective(space, anchors, rtts), space, anchors, rtts, start, rng, maxIter)
-}
-
-// PositionHostAbsolute is PositionHostIter under the absolute-error
-// objective (see ObjectiveAbsolute).
-func PositionHostAbsolute(space coordspace.Space, anchors []coordspace.Coord, rtts []float64, start coordspace.Coord, rng *rand.Rand, maxIter int) (coordspace.Coord, float64) {
-	return positionHost(ObjectiveAbsolute(space, anchors, rtts), space, anchors, rtts, start, rng, maxIter)
-}
-
-func positionHost(obj func([]float64) float64, space coordspace.Space, anchors []coordspace.Coord, rtts []float64, start coordspace.Coord, rng *rand.Rand, maxIter int) (coordspace.Coord, float64) {
-	if len(anchors) != len(rtts) {
-		panic("gnp: anchors and rtts length mismatch")
-	}
-	x0 := make([]float64, space.Dims)
-	copy(x0, start.V)
-	for i := range x0 {
-		x0[i] += rng.NormFloat64() * 0.5
-	}
-	res := optimize.Minimize(obj, x0, optimize.Options{
-		MaxIter:  maxIter,
-		InitStep: 25,
-	})
-	return coordspace.Coord{V: res.X}, res.F
-}
-
-// flatObjective is the allocation-free form of Objective /
-// ObjectiveAbsolute: the anchor coordinates live in one flat buffer of k
-// rows × space.Dims floats instead of k Coord values, and the struct
-// implements optimize.Objective so re-aiming it at new data is two slice
-// assignments rather than a closure allocation. Heights are ignored —
-// flat positioning is defined for height-less spaces only (NPS enforces
-// this), where Space.Dist never reads Coord.H, so the arithmetic is
-// identical to the closure forms.
+// flatObjective is a host's positioning objective over k anchors: the sum
+// over anchors of the squared error between the measured RTT and the
+// distance predicted from position x, either relative — GNP's objective —
+// or absolute in ms². The absolute form is what NPS host positioning uses
+// (see nps.Config): under it, a constraint with a hugely inflated measured
+// RTT exerts a pull proportional to its absolute misfit, which is exactly
+// the lever the paper's delay-based attacks exploit and the reason NPS
+// needs a probe threshold at all.
+//
+// The anchor coordinates live in one flat buffer of k rows × space.Dims
+// floats, and the struct implements optimize.Objective, so re-aiming it at
+// new data is two slice assignments rather than a closure allocation.
+// Heights are ignored — flat positioning is defined for height-less spaces
+// only (the entry points enforce this), where Space.Dist never reads
+// Coord.H.
 type flatObjective struct {
 	space    coordspace.Space
 	anchors  []float64 // k rows of space.Dims floats
@@ -151,12 +80,13 @@ type HostSolver struct {
 
 // Position solves for a host position against k anchors stored as k
 // consecutive rows of space.Dims floats in anchors, under the absolute
-// objective (relative=false, the NPS default) or GNP's relative one. The
-// jitter draw order, objective arithmetic and solver iterate sequence
-// match PositionHostAbsolute / PositionHostIter exactly. The returned
-// coordinate aliases solver scratch: it is valid until the next Position
-// call, and callers that retain it must copy it out. Height-less spaces
-// only.
+// objective (relative=false, the NPS default) or GNP's relative one.
+// start is the previous estimate (the space origin for a fresh host); a
+// small random jitter drawn from rng desynchronizes restarts, and maxIter
+// caps the Simplex iterations. It returns the new coordinate and the
+// residual objective value. The returned coordinate aliases solver
+// scratch: it is valid until the next Position call, and callers that
+// retain it must copy it out. Height-less spaces only.
 func (hs *HostSolver) Position(space coordspace.Space, anchors []float64, rtts []float64, relative bool, start coordspace.Coord, rng *rand.Rand, maxIter int) (coordspace.Coord, float64) {
 	if space.HasHeight {
 		panic("gnp: flat host positioning is defined for height-less spaces only")
@@ -168,8 +98,8 @@ func (hs *HostSolver) Position(space coordspace.Space, anchors []float64, rtts [
 		hs.x0 = make([]float64, space.Dims)
 	}
 	x0 := hs.x0[:space.Dims]
-	// Zero-fill past a short start vector (a fresh make in the closure
-	// path) so buffer reuse cannot leak a previous start point.
+	// Zero-fill past a short start vector so buffer reuse cannot leak a
+	// previous start point.
 	for i := copy(x0, start.V); i < len(x0); i++ {
 		x0[i] = 0
 	}
@@ -284,8 +214,11 @@ func SelectLandmarksFrom(m latency.Substrate, k int, candidates []int) []int {
 // which each landmark repositions itself against the others' current
 // coordinates and the measured landmark-landmark RTTs. Several random
 // restarts are attempted and the lowest-objective embedding wins. Returns
-// one coordinate per entry of landmarkIDs.
+// one coordinate per entry of landmarkIDs. Height-less spaces only.
 func SolveLandmarks(m latency.Substrate, landmarkIDs []int, space coordspace.Space, seed int64) []coordspace.Coord {
+	if space.HasHeight {
+		panic("gnp: flat host positioning is defined for height-less spaces only")
+	}
 	const restarts = 8
 	// "Good enough" residual: a numerically perfect embedding of k points.
 	perfect := 1e-8 * float64(len(landmarkIDs)*len(landmarkIDs))
@@ -315,8 +248,13 @@ func solveLandmarksOnce(m latency.Substrate, landmarkIDs []int, space coordspace
 	for i := range coords {
 		coords[i] = space.Random(rng, 50)
 	}
-	rtts := make([]float64, k-1)
-	anchors := make([]coordspace.Coord, k-1)
+	dims := space.Dims
+	obj := flatObjective{
+		space:    space,
+		anchors:  make([]float64, (k-1)*dims),
+		rtts:     make([]float64, k-1),
+		relative: true,
+	}
 
 	total := func() float64 {
 		sum := 0.0
@@ -342,11 +280,11 @@ func solveLandmarksOnce(m latency.Substrate, landmarkIDs []int, space coordspace
 				if j == i {
 					continue
 				}
-				anchors[idx] = coords[j]
-				rtts[idx] = m.RTT(landmarkIDs[i], landmarkIDs[j])
+				copy(obj.anchors[idx*dims:(idx+1)*dims], coords[j].V)
+				obj.rtts[idx] = m.RTT(landmarkIDs[i], landmarkIDs[j])
 				idx++
 			}
-			res := sv.Minimize(optimize.Func(Objective(space, anchors, rtts)), coords[i].V, optimize.Options{
+			res := sv.Minimize(&obj, coords[i].V, optimize.Options{
 				MaxIter:  200 * space.Dims,
 				InitStep: 25,
 			})

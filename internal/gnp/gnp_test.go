@@ -22,6 +22,16 @@ func planarMatrix(pts [][2]float64) *latency.Matrix {
 	return m
 }
 
+// flatRows lays anchor coordinates out the way HostSolver takes them: one
+// row of space.Dims floats per anchor.
+func flatRows(anchors []coordspace.Coord) []float64 {
+	var rows []float64
+	for _, a := range anchors {
+		rows = append(rows, a.V...)
+	}
+	return rows
+}
+
 func TestObjectiveZeroAtTruth(t *testing.T) {
 	space := coordspace.Euclidean(2)
 	anchors := []coordspace.Coord{
@@ -32,41 +42,54 @@ func TestObjectiveZeroAtTruth(t *testing.T) {
 	for i, a := range anchors {
 		rtts[i] = space.Dist(coordspace.Coord{V: truth}, a)
 	}
-	f := Objective(space, anchors, rtts)
-	if v := f(truth); v > 1e-18 {
-		t.Fatalf("objective at truth %v", v)
-	}
-	if v := f([]float64{80, 80}); v <= 0 {
-		t.Fatalf("objective away from truth %v", v)
+	for _, relative := range []bool{true, false} {
+		f := flatObjective{space: space, anchors: flatRows(anchors), rtts: rtts, relative: relative}
+		if v := f.Eval(truth); v > 1e-18 {
+			t.Fatalf("relative=%v: objective at truth %v", relative, v)
+		}
+		if v := f.Eval([]float64{80, 80}); v <= 0 {
+			t.Fatalf("relative=%v: objective away from truth %v", relative, v)
+		}
 	}
 }
 
 func TestObjectiveSkipsBadRTT(t *testing.T) {
 	space := coordspace.Euclidean(2)
-	anchors := []coordspace.Coord{{V: []float64{0, 0}}, {V: []float64{10, 0}}}
-	f := Objective(space, anchors, []float64{0, 10})
-	if v := f([]float64{5, 0}); math.IsNaN(v) || math.IsInf(v, 0) {
-		t.Fatalf("objective with zero rtt = %v", v)
+	for _, relative := range []bool{true, false} {
+		f := flatObjective{space: space, anchors: []float64{0, 0, 10, 0}, rtts: []float64{0, 10}, relative: relative}
+		if v := f.Eval([]float64{5, 0}); math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("relative=%v: objective with zero rtt = %v", relative, v)
+		}
 	}
 }
 
-func TestPositionHostRecoversPoint(t *testing.T) {
-	space := coordspace.Euclidean(2)
+// squareAnchors is a planted positioning problem: four anchors on a square
+// and the exact distances from truth to each.
+func squareAnchors(space coordspace.Space, truth coordspace.Coord) (rows, rtts []float64) {
 	anchors := []coordspace.Coord{
 		{V: []float64{0, 0}}, {V: []float64{100, 0}},
 		{V: []float64{0, 100}}, {V: []float64{100, 100}},
 	}
-	truth := coordspace.Coord{V: []float64{30, 70}}
-	rtts := make([]float64, len(anchors))
+	rtts = make([]float64, len(anchors))
 	for i, a := range anchors {
 		rtts[i] = space.Dist(truth, a)
 	}
-	got, fit := PositionHost(space, anchors, rtts, space.Zero(), randx.New(1))
-	if space.Dist(got, truth) > 1 {
-		t.Fatalf("recovered %v, want %v", got, truth)
-	}
-	if fit > 1e-4 {
-		t.Fatalf("residual %v", fit)
+	return flatRows(anchors), rtts
+}
+
+func TestPositionHostRecoversPoint(t *testing.T) {
+	space := coordspace.Euclidean(2)
+	truth := coordspace.Coord{V: []float64{30, 70}}
+	rows, rtts := squareAnchors(space, truth)
+	for _, relative := range []bool{true, false} {
+		var hs HostSolver
+		got, fit := hs.Position(space, rows, rtts, relative, space.Zero(), randx.New(1), 200*space.Dims)
+		if space.Dist(got, truth) > 1 {
+			t.Fatalf("relative=%v: recovered %v, want %v", relative, got, truth)
+		}
+		if fit > 1e-4 {
+			t.Fatalf("relative=%v: residual %v", relative, fit)
+		}
 	}
 }
 
@@ -76,7 +99,40 @@ func TestPositionHostMismatchedInputPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	PositionHost(coordspace.Euclidean(2), make([]coordspace.Coord, 3), make([]float64, 2), coordspace.Euclidean(2).Zero(), randx.New(1))
+	var hs HostSolver
+	space := coordspace.Euclidean(2)
+	hs.Position(space, make([]float64, 3*space.Dims), make([]float64, 2), true, space.Zero(), randx.New(1), 100)
+}
+
+func TestHostSolverHeightSpacePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	var hs HostSolver
+	space := coordspace.EuclideanHeight(2)
+	hs.Position(space, make([]float64, 3*space.Dims), make([]float64, 3), true, space.Zero(), randx.New(1), 100)
+}
+
+// TestHostSolverWarmReusePurity: scratch reuse must not leak state between
+// positionings. A warm solver's answer — after an unrelated solve in
+// another dimensionality and from a short start vector — is bit-identical
+// to a fresh solver's.
+func TestHostSolverWarmReusePurity(t *testing.T) {
+	space := coordspace.Euclidean(2)
+	rows, rtts := squareAnchors(space, coordspace.Coord{V: []float64{30, 70}})
+	start := coordspace.Coord{V: []float64{12}} // short: dim 1 is zero-filled
+	var fresh, warm HostSolver
+	want, wantFit := fresh.Position(space, rows, rtts, false, start, randx.New(4), 400)
+
+	wide := coordspace.Euclidean(5)
+	warm.Position(wide, make([]float64, 6*wide.Dims), []float64{5, 9, 2, 7, 3, 8}, true,
+		coordspace.Coord{V: []float64{40, -3, 8, 1, 99}}, randx.New(9), 50)
+	got, gotFit := warm.Position(space, rows, rtts, false, start, randx.New(4), 400)
+	if gotFit != wantFit || got.V[0] != want.V[0] || got.V[1] != want.V[1] {
+		t.Fatalf("warm solver %v (fit %v) differs from fresh %v (fit %v)", got, gotFit, want, wantFit)
+	}
 }
 
 func TestSelectLandmarksSpread(t *testing.T) {
@@ -151,6 +207,8 @@ func TestEndToEndGNPKingLike(t *testing.T) {
 		isLM[id] = k
 		coords[id] = lmCoords[k]
 	}
+	var hs HostSolver
+	lmRows := flatRows(lmCoords)
 	rtts := make([]float64, len(lmIDs))
 	for i := 0; i < m.Size(); i++ {
 		if _, ok := isLM[i]; ok {
@@ -159,7 +217,8 @@ func TestEndToEndGNPKingLike(t *testing.T) {
 		for k, id := range lmIDs {
 			rtts[k] = m.RTT(i, id)
 		}
-		coords[i], _ = PositionHost(space, lmCoords, rtts, space.Zero(), rng)
+		pos, _ := hs.Position(space, lmRows, rtts, true, space.Zero(), rng, 200*space.Dims)
+		coords[i] = pos.Clone() // pos aliases solver scratch
 	}
 	peers := metrics.PeerSets(m.Size(), 0, 1)
 	avg := metrics.Mean(metrics.NodeErrors(m, space, coords, peers, nil))

@@ -75,69 +75,35 @@ func PeerSets(n, k int, seed int64) [][]int {
 // NodeErrors computes, for every node with include(i) true, the average
 // relative error of its distance predictions to its evaluation peers.
 // Nodes with include(i) false get NaN (they are excluded from aggregates).
+// It is the boundary form for callers holding a coordinate slice: the
+// coordinates are loaded into a flat store and measured by NodeErrorsShard,
+// the same arithmetic the engine's measurement pass runs.
 func NodeErrors(m latency.Substrate, space coordspace.Space, coords []coordspace.Coord, peers [][]int, include func(int) bool) []float64 {
-	out := make([]float64, len(coords))
-	NodeErrorsRange(m, space, coords, peers, include, 0, len(out), out)
-	return out
-}
-
-// NodeErrorsRange is NodeErrors restricted to nodes [lo, hi), writing into
-// out (which spans all nodes). Disjoint ranges touch disjoint slots, so
-// the engine shards a measurement pass across workers with one call per
-// shard.
-func NodeErrorsRange(m latency.Substrate, space coordspace.Space, coords []coordspace.Coord, peers [][]int, include func(int) bool, lo, hi int, out []float64) {
-	for i := lo; i < hi; i++ {
-		if include != nil && !include(i) {
-			out[i] = math.NaN()
-			continue
-		}
-		sum, cnt := 0.0, 0
-		for _, j := range peers[i] {
-			actual := m.RTT(i, j)
-			if actual <= 0 {
-				continue
-			}
-			pred := space.Dist(coords[i], coords[j])
-			sum += RelativeError(actual, pred)
-			cnt++
-		}
-		if cnt == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = sum / float64(cnt)
+	st := coordspace.NewStore(space, len(coords))
+	for i, c := range coords {
+		st.SetCoordAt(i, c)
 	}
-}
-
-// NodeErrorsStore is NodeErrors over a flat coordinate store — the
-// engine's measurement path. The per-node distance sweep runs through the
-// store's batched DistMany kernel, so the O(n·k) pass reads one contiguous
-// buffer instead of chasing n separate coordinate allocations.
-func NodeErrorsStore(m latency.Substrate, st *coordspace.Store, peers [][]int, include func(int) bool) []float64 {
-	out := make([]float64, st.Len())
-	NodeErrorsStoreRange(m, st, peers, include, 0, st.Len(), out)
+	out := make([]float64, len(coords))
+	NodeErrorsShard(m, st, peers, include, nil, 0, len(out), out)
 	return out
 }
 
-// NodeErrorsStoreRange is NodeErrorsStore restricted to nodes [lo, hi),
-// writing into out (which spans all nodes). It allocates nothing: disjoint
-// ranges touch disjoint slots, so the engine shards a measurement pass
-// across workers with one call per shard and a single reused out buffer.
-// Both the predicted distances (Store.DistMany) and the true RTTs
-// (Substrate.RTTFrom) resolve in per-chunk batches, so a model-backed
-// substrate recomputes its row in one tight kernel sweep rather than
-// interleaved with the error arithmetic.
-func NodeErrorsStoreRange(m latency.Substrate, st *coordspace.Store, peers [][]int, include func(int) bool, lo, hi int, out []float64) {
-	NodeErrorsStoreRangeAdj(m, st, peers, include, nil, lo, hi, out)
-}
-
-// NodeErrorsStoreRangeAdj is NodeErrorsStoreRange with per-node distance
-// adjustment terms (serf's hardened-Vivaldi refinement): each predicted
-// distance becomes dist + adj[i] + adj[j], falling back to the raw dist
-// when the adjusted estimate is not positive (serf's rule — a negative
-// predicted RTT is meaningless). adj == nil means no adjustment and is the
-// exact NodeErrorsStoreRange sweep. Equally allocation-free.
-func NodeErrorsStoreRangeAdj(m latency.Substrate, st *coordspace.Store, peers [][]int, include func(int) bool, adj []float64, lo, hi int, out []float64) {
+// NodeErrorsShard is the error kernel: NodeErrors over a flat coordinate
+// store, restricted to nodes [lo, hi) and writing into out (which spans
+// all nodes). It allocates nothing: disjoint ranges touch disjoint slots,
+// so the engine shards a measurement pass across workers with one call per
+// shard and a single reused out buffer. Both the predicted distances
+// (Store.DistMany) and the true RTTs (Substrate.RTTFrom) resolve in
+// per-chunk batches, so the O(n·k) pass reads one contiguous buffer and a
+// model-backed substrate recomputes its row in one tight kernel sweep
+// rather than interleaved with the error arithmetic.
+//
+// adj, when non-nil, holds per-node distance adjustment terms (serf's
+// hardened-Vivaldi refinement): each predicted distance becomes
+// dist + adj[i] + adj[j], falling back to the raw dist when the adjusted
+// estimate is not positive (serf's rule — a negative predicted RTT is
+// meaningless).
+func NodeErrorsShard(m latency.Substrate, st *coordspace.Store, peers [][]int, include func(int) bool, adj []float64, lo, hi int, out []float64) {
 	var dists [64]float64 // per-chunk distance batch, stack-allocated
 	// The RTT batch crosses the Substrate interface boundary, which
 	// escape analysis must treat as leaking — a stack array here would
@@ -186,8 +152,8 @@ func NodeErrorsStoreRangeAdj(m latency.Substrate, st *coordspace.Store, peers []
 	}
 }
 
-// rttBatchPool holds the per-shard RTT gather buffers of
-// NodeErrorsStoreRange (see the comment there).
+// rttBatchPool holds the per-shard RTT gather buffers of NodeErrorsShard
+// (see the comment there).
 var rttBatchPool = sync.Pool{New: func() any { return new([64]float64) }}
 
 // Mean returns the mean of the non-NaN values.
@@ -205,19 +171,8 @@ func Mean(xs []float64) float64 {
 	return sum / float64(n)
 }
 
-// Median returns the median of the non-NaN values.
-func Median(xs []float64) float64 {
-	return Percentile(xs, 0.5)
-}
-
-// MedianInto is Median with a caller-provided scratch buffer (see
-// PercentileInto).
-func MedianInto(xs []float64, buf []float64) float64 {
-	return PercentileInto(xs, 0.5, buf)
-}
-
 // MedianExactInto returns the exact sample median — for even n the average
-// of the two middle order statistics, unlike the nearest-rank MedianInto,
+// of the two middle order statistics, unlike the nearest-rank Percentile,
 // which returns a single element — using quickselect over a caller-provided
 // scratch buffer (used only if cap(buf) ≥ len(xs); no allocation once the
 // buffer is warm). xs itself is never mutated and is not NaN-filtered;
@@ -251,35 +206,21 @@ func MedianExactInto(xs []float64, buf []float64) float64 {
 }
 
 // Percentile returns the p-quantile (0≤p≤1) of the non-NaN values using
-// nearest-rank (round half-up) on the ordered data.
+// nearest-rank (round half-up) on the ordered data: the one-rank
+// convenience form of Quantiles.
 func Percentile(xs []float64, p float64) float64 {
-	return PercentileInto(xs, p, nil)
+	var out [1]float64
+	return Quantiles(xs, []float64{p}, out[:], nil)[0]
 }
 
-// PercentileInto is Percentile with a caller-provided scratch buffer: the
-// non-NaN values are copied into buf (grown only if cap(buf) < len(xs))
-// and the rank is found by quickselect — expected O(n), no sort, and no
-// allocation once the buffer is warm. xs itself is never mutated.
-func PercentileInto(xs []float64, p float64, buf []float64) float64 {
-	clean := buf[:0]
-	for _, x := range xs {
-		if !math.IsNaN(x) {
-			clean = append(clean, x)
-		}
-	}
-	if len(clean) == 0 {
-		return math.NaN()
-	}
-	return quickselect(clean, nearestRank(p, len(clean)))
-}
-
-// Quantiles fills out[i] with the ps[i]-quantile of the non-NaN values and
-// returns out. The NaN filter is paid once into buf (grown only if
-// cap(buf) < len(xs)); each quantile is then one quickselect over the
-// clean copy — quickselect's partial reorder changes the order, never the
-// set, so later quantiles stay correct. For the serving layer's p50/p99
-// pairs over millions of latencies this is one copy instead of one per
-// quantile.
+// Quantiles fills out[i] with the ps[i]-quantile (0≤p≤1, nearest-rank,
+// round half-up) of the non-NaN values and returns out. xs itself is never
+// mutated: the NaN filter is paid once into buf (grown only if
+// cap(buf) < len(xs), so a warm buffer means no allocation); each quantile
+// is then one quickselect over the clean copy — expected O(n), no sort,
+// and quickselect's partial reorder changes the order, never the set, so
+// later quantiles stay correct. For the serving layer's p50/p99 pairs over
+// millions of latencies this is one copy instead of one per quantile.
 func Quantiles(xs []float64, ps []float64, out []float64, buf []float64) []float64 {
 	clean := buf[:0]
 	for _, x := range xs {
@@ -441,7 +382,9 @@ func RandomBaseline(m latency.Substrate, space coordspace.Space, peers [][]int, 
 	for i := 0; i < st.Len(); i++ {
 		st.RandomAt(i, rng, scale)
 	}
-	return Mean(NodeErrorsStore(m, st, peers, nil))
+	errs := make([]float64, st.Len())
+	NodeErrorsShard(m, st, peers, nil, nil, 0, st.Len(), errs)
+	return Mean(errs)
 }
 
 // ConvergenceDetector implements §5.2's stabilization rule: the system has

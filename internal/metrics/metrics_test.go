@@ -143,8 +143,8 @@ func TestMeanIgnoresNaN(t *testing.T) {
 
 func TestMedianAndPercentile(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
-	if Median(xs) != 3 {
-		t.Fatalf("median %v", Median(xs))
+	if got := MedianExactInto(xs, nil); got != 3 {
+		t.Fatalf("median %v", got)
 	}
 	if Percentile(xs, 0) != 1 || Percentile(xs, 1) != 5 {
 		t.Fatal("percentile extremes wrong")
@@ -185,32 +185,31 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
-// TestPercentileIntoReusesBuffer asserts the quickselect path neither
-// mutates its input nor allocates once the scratch buffer is warm, and
-// agrees with a sort-based reference on random-ish data.
-func TestPercentileIntoReusesBuffer(t *testing.T) {
+// TestQuantilesReusesBuffer asserts the quickselect path neither mutates
+// its input nor allocates once the scratch buffers are warm, and agrees
+// with a sort-based reference on random-ish data.
+func TestQuantilesReusesBuffer(t *testing.T) {
 	xs := []float64{9, 0, 7, 3, 5, 2, 8, 1, 6, 4}
 	orig := append([]float64(nil), xs...)
+	ps := []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
+	out := make([]float64, len(ps))
 	buf := make([]float64, 0, len(xs))
-	for _, p := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		want := sorted[int(math.Floor(p*float64(len(sorted)-1)+0.5))]
-		if got := PercentileInto(xs, p, buf); got != want {
-			t.Fatalf("PercentileInto(p=%v) = %v, want %v", p, got, want)
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for i, got := range Quantiles(xs, ps, out, buf) {
+		want := sorted[int(math.Floor(ps[i]*float64(len(sorted)-1)+0.5))]
+		if got != want {
+			t.Fatalf("Quantiles(p=%v) = %v, want %v", ps[i], got, want)
 		}
 	}
 	for i := range xs {
 		if xs[i] != orig[i] {
-			t.Fatal("PercentileInto mutated its input")
+			t.Fatal("Quantiles mutated its input")
 		}
 	}
-	if got, want := MedianInto(xs, buf), 5.0; got != want { // idx round(0.5·9)=5 → value 5
-		t.Fatalf("MedianInto = %v, want %v", got, want)
-	}
-	allocs := testing.AllocsPerRun(50, func() { PercentileInto(xs, 0.9, buf) })
+	allocs := testing.AllocsPerRun(50, func() { Quantiles(xs, ps, out, buf) })
 	if allocs != 0 {
-		t.Fatalf("PercentileInto with warm buffer allocates %.1f times, want 0", allocs)
+		t.Fatalf("Quantiles with warm buffers allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -349,8 +348,8 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-// TestQuantiles pins the batched quantile helper against PercentileInto:
-// one NaN filter, many ranks, same answers — and quickselect's partial
+// TestQuantiles pins the batched quantile helper against Percentile: one
+// NaN filter, many ranks, same answers — and quickselect's partial
 // reordering between ranks must not change them.
 func TestQuantiles(t *testing.T) {
 	xs := []float64{9, 1, math.NaN(), 4, 7, 2, 8, 3, math.NaN(), 5, 6}

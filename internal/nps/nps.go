@@ -182,16 +182,13 @@ type System struct {
 	// Steady-state scratch. The probe phase is serial by contract (taps
 	// hold shared mutable state), so probeRTTs and the construction-time
 	// eligible buffer are System-level; the solve phase is sharded, so
-	// every shard owns a solveScratch and Step's serial sweep owns one
-	// more. All of it exists so a steady positioning round allocates
-	// nothing.
+	// every shard owns a solveScratch. All of it exists so a steady
+	// positioning round allocates nothing.
 	probeRTTs    []float64     // batched Substrate.RTTFrom row over refs[i]
 	eligible     []int         // assignRefs candidate scratch (construction/amnesty, serial)
 	parSlots     []sampleSlot  // per-node sample buffers for StepParallel
 	shardStats   []FilterStats // per-shard filter counters, reduced in shard order
 	shardScratch []*solveScratch
-	serialSlot   sampleSlot   // Step/positionNode sample buffer
-	serialSolve  solveScratch // Step/positionNode solve scratch
 }
 
 // sampleSlot is a reusable per-node sample buffer: the usable measurements
@@ -209,9 +206,8 @@ type sampleSlot struct {
 // rows and RTTs handed to the solver, reference-replacement candidates,
 // and the host solver itself (which owns the simplex scratch).
 // positionWith touches no shared mutable state beyond its stats
-// accumulator, so StepParallel keeps one solveScratch per shard and Step
-// keeps one for its serial sweep — ownership never crosses a shard
-// boundary.
+// accumulator, so StepParallel keeps one solveScratch per shard —
+// ownership never crosses a shard boundary.
 type solveScratch struct {
 	fits       []float64
 	medBuf     []float64
@@ -465,14 +461,6 @@ func (s *System) collectSamplesInto(i int, slot *sampleSlot) []refSample {
 	return samples
 }
 
-// positionNode runs one positioning for node i: probe every current
-// reference, discard over-threshold probes, apply the security filter,
-// then solve with the surviving references. It is the serial Step path and
-// uses the System-owned scratch.
-func (s *System) positionNode(i int) {
-	s.positionWith(i, s.collectSamplesInto(i, &s.serialSlot), &s.stats, &s.serialSolve)
-}
-
 // positionWith applies the security filter and the Simplex Downhill solve
 // to already-collected samples. Apart from the stats accumulator and the
 // scratch it mutates only node-i state (coords, banned set, reference set,
@@ -587,29 +575,9 @@ func (s *System) eliminate(i, ref int, stats *FilterStats, sc *solveScratch) {
 	s.replaceRef(i, ref, sc)
 }
 
-// medianOf is the security filter's median: the exact sample median, with
-// the historical convention that an empty slice yields 0. Kept as the
-// allocation-per-call convenience form; the hot path calls
-// metrics.MedianExactInto with shard scratch directly.
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return metrics.MedianExactInto(xs, make([]float64, 0, len(xs)))
-}
-
-// Step runs one positioning round: every non-landmark node repositions
-// once, in layer order (references position before their dependents).
-// Malicious nodes still reposition — they must look like normal
-// participants — but their *reported* state is whatever their tap forges.
-func (s *System) Step() {
-	s.round++
-	for layer := 1; layer < s.cfg.Layers; layer++ {
-		for _, i := range s.byLayer[layer] {
-			s.positionNode(i)
-		}
-	}
-}
+// Step runs one positioning round on the calling goroutine: the inline
+// form of StepParallel (one shard), bit-identical to it on any Sharder.
+func (s *System) Step() { s.StepParallel(serialSharder{}) }
 
 // Run executes n positioning rounds.
 func (s *System) Run(n int) {

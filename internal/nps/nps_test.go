@@ -2,8 +2,6 @@ package nps
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/coordspace"
@@ -274,18 +272,6 @@ func TestHeightSpacePanics(t *testing.T) {
 	NewSystem(m, Config{Space: coordspace.EuclideanHeight(2)}, 1)
 }
 
-func TestMediansOf(t *testing.T) {
-	if medianOf([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median")
-	}
-	if medianOf([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even median")
-	}
-	if medianOf(nil) != 0 {
-		t.Fatal("empty median")
-	}
-}
-
 func TestViewInterface(t *testing.T) {
 	m := kingMatrix(60, 14)
 	s := NewSystem(m, Config{NumLandmarks: 8}, 2)
@@ -302,35 +288,10 @@ func TestViewInterface(t *testing.T) {
 	}
 }
 
-func TestMedianOfMatchesSortReference(t *testing.T) {
-	// medianOf now runs on metrics' quickselect; pin bit-equality with the
-	// classic sort-then-average median it replaced, so the security
-	// filter's elimination bar (SecurityC·median) cannot silently drift.
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + r.Intn(30)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Float64() * 500
-		}
-		sorted := append([]float64(nil), xs...)
-		sort.Float64s(sorted)
-		var want float64
-		if n%2 == 1 {
-			want = sorted[n/2]
-		} else {
-			want = (sorted[n/2-1] + sorted[n/2]) / 2
-		}
-		if got := medianOf(xs); got != want {
-			t.Fatalf("medianOf(%v) = %v, want %v", xs, got, want)
-		}
-	}
-}
-
 func TestFilterOutputUnchangedByWorkerCount(t *testing.T) {
 	// The sharded solve phase (per-shard scratch + stats) must make the
 	// exact same filtering decisions and produce the exact same
-	// coordinates as the serial step, at any shard granularity.
+	// coordinates as the inline one-shard Step, at any shard granularity.
 	if testing.Short() {
 		t.Skip("positioning run")
 	}

@@ -10,10 +10,14 @@ type Sharder interface {
 	NumShards(n int) int
 }
 
-// StepParallel runs one positioning round sharded across sh, layer by
-// layer. The layer order is inherent to NPS — references must position
-// before their dependents — but within a layer every node's solve is
-// independent. The round decomposes, per layer, into:
+// StepParallel runs one positioning round sharded across sh: every
+// non-landmark node repositions once, layer by layer — the one loop that
+// advances a deployment (Step is its one-shard form). Malicious nodes
+// still reposition — they must look like normal participants — but their
+// *reported* state is whatever their tap forges. The layer order is
+// inherent to NPS — references must position before their dependents —
+// but within a layer every node's solve is independent. The round
+// decomposes, per layer, into:
 //
 //   - a serial probe sweep in node order: probing consults attack taps,
 //     which hold mutable state (RNG streams, per-victim caches) shared

@@ -34,20 +34,3 @@ type Result struct {
 	F     float64   // objective value at X
 	Iters int       // iterations used
 }
-
-// Minimize runs Nelder–Mead on f starting from x0 and returns the best
-// point found. f must be finite at x0; non-finite values elsewhere are
-// treated as +inf so the simplex retreats from them.
-//
-// This is the convenience entry point: it allocates fresh solver scratch
-// per call and returns a Result whose X the caller owns. Hot paths keep a
-// Solver and call its Minimize method instead, which reuses all scratch
-// and produces the identical iterate sequence.
-func Minimize(f func([]float64) float64, x0 []float64, opt Options) Result {
-	var s Solver
-	res := s.Minimize(Func(f), x0, opt)
-	out := make([]float64, len(res.X))
-	copy(out, res.X)
-	res.X = out
-	return res
-}

@@ -7,9 +7,16 @@ import (
 	"testing/quick"
 )
 
+// minimize solves on a fresh Solver, so the Result (whose X aliases that
+// solver's scratch) is the caller's to keep.
+func minimize(f func([]float64) float64, x0 []float64, opt Options) Result {
+	var s Solver
+	return s.Minimize(Func(f), x0, opt)
+}
+
 func TestQuadratic1D(t *testing.T) {
 	f := func(x []float64) float64 { return (x[0] - 3) * (x[0] - 3) }
-	res := Minimize(f, []float64{0}, Options{})
+	res := minimize(f, []float64{0}, Options{})
 	if math.Abs(res.X[0]-3) > 1e-3 {
 		t.Fatalf("minimum at %v, want 3", res.X[0])
 	}
@@ -31,7 +38,7 @@ func TestSphereND(t *testing.T) {
 		for i := range x0 {
 			x0[i] = 25
 		}
-		res := Minimize(f, x0, Options{})
+		res := minimize(f, x0, Options{})
 		for _, v := range res.X {
 			if math.Abs(v) > 0.01 {
 				t.Fatalf("dim %d: minimum %v not near origin", dim, res.X)
@@ -45,14 +52,14 @@ func TestRosenbrock(t *testing.T) {
 		a, b := x[0], x[1]
 		return (1-a)*(1-a) + 100*(b-a*a)*(b-a*a)
 	}
-	res := Minimize(f, []float64{-1.2, 1}, Options{MaxIter: 5000, InitStep: 0.5})
+	res := minimize(f, []float64{-1.2, 1}, Options{MaxIter: 5000, InitStep: 0.5})
 	if math.Abs(res.X[0]-1) > 0.01 || math.Abs(res.X[1]-1) > 0.01 {
 		t.Fatalf("rosenbrock minimum %v, want (1,1)", res.X)
 	}
 }
 
 func TestShiftedQuadraticProperty(t *testing.T) {
-	// Minimize always recovers the center of a shifted quadratic bowl.
+	// The solver always recovers the center of a shifted quadratic bowl.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 2 + r.Intn(5)
@@ -68,7 +75,7 @@ func TestShiftedQuadraticProperty(t *testing.T) {
 			}
 			return s
 		}
-		res := Minimize(obj, make([]float64, dim), Options{MaxIter: 4000, InitStep: 20})
+		res := minimize(obj, make([]float64, dim), Options{MaxIter: 4000, InitStep: 20})
 		for i, v := range res.X {
 			if math.Abs(v-center[i]) > 0.5 {
 				return false
@@ -92,7 +99,7 @@ func TestNeverWorseThanStart(t *testing.T) {
 			return s + math.Sin(x[0])
 		}
 		x0 := []float64{r.Float64() * 10, r.Float64() * 10}
-		res := Minimize(obj, x0, Options{MaxIter: 200})
+		res := minimize(obj, x0, Options{MaxIter: 200})
 		return res.F <= obj(x0)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -107,7 +114,7 @@ func TestHandlesNaNObjective(t *testing.T) {
 		}
 		return (x[0] - 2) * (x[0] - 2)
 	}
-	res := Minimize(f, []float64{5}, Options{})
+	res := minimize(f, []float64{5}, Options{})
 	if math.Abs(res.X[0]-2) > 0.01 {
 		t.Fatalf("minimum %v with NaN region, want 2", res.X[0])
 	}
@@ -119,7 +126,7 @@ func TestMaxIterRespected(t *testing.T) {
 		calls++
 		return x[0] * x[0]
 	}
-	res := Minimize(f, []float64{100}, Options{MaxIter: 10})
+	res := minimize(f, []float64{100}, Options{MaxIter: 10})
 	if res.Iters > 10 {
 		t.Fatalf("iters %d, want <=10", res.Iters)
 	}
@@ -136,12 +143,12 @@ func TestEmptyStartPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Minimize(func(x []float64) float64 { return 0 }, nil, Options{})
+	minimize(func(x []float64) float64 { return 0 }, nil, Options{})
 }
 
 func TestDoesNotMutateStart(t *testing.T) {
 	x0 := []float64{7, 7}
-	Minimize(func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] }, x0, Options{})
+	minimize(func(x []float64) float64 { return x[0]*x[0] + x[1]*x[1] }, x0, Options{})
 	if x0[0] != 7 || x0[1] != 7 {
 		t.Fatalf("start point mutated: %v", x0)
 	}
@@ -165,7 +172,7 @@ func TestGNPStyleObjective(t *testing.T) {
 		}
 		return s
 	}
-	res := Minimize(obj, []float64{50, 50}, Options{})
+	res := minimize(obj, []float64{50, 50}, Options{})
 	if math.Abs(res.X[0]-truth[0]) > 0.1 || math.Abs(res.X[1]-truth[1]) > 0.1 {
 		t.Fatalf("recovered %v, want %v", res.X, truth)
 	}

@@ -71,7 +71,7 @@ func (s *Solver) sortOrder() {
 }
 
 // sanitize maps NaN objective values to +inf so the simplex retreats from
-// them (matching the package-level Minimize contract).
+// them.
 func sanitize(v float64) float64 {
 	if math.IsNaN(v) {
 		return math.Inf(1)
@@ -79,11 +79,12 @@ func sanitize(v float64) float64 {
 	return v
 }
 
-// Minimize runs Nelder–Mead on f starting from x0, with the same
-// semantics, arithmetic and iterate sequence as the package-level
-// Minimize. The returned Result.X aliases solver scratch: it is valid only
-// until the next Minimize call on this Solver, and callers that retain it
-// must copy it out.
+// Minimize runs Nelder–Mead on f starting from x0 and returns the best
+// point found. f must be finite at x0; non-finite values elsewhere are
+// treated as +inf so the simplex retreats from them. x0 is not modified.
+// The returned Result.X aliases solver scratch: it is valid only until the
+// next Minimize call on this Solver, and callers that retain it must copy
+// it out.
 func (s *Solver) Minimize(f Objective, x0 []float64, opt Options) Result {
 	dim := len(x0)
 	if dim == 0 {

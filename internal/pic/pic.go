@@ -137,6 +137,12 @@ type System struct {
 	rngs       []*rand.Rand
 	round      int
 	stats      SecurityStats
+
+	// Positioning scratch: the host solver and the flat anchor rows and
+	// RTTs handed to it, reused across every positioning.
+	host    gnp.HostSolver
+	anchors []float64
+	rtts    []float64
 }
 
 var _ View = (*System)(nil)
@@ -227,15 +233,15 @@ func (s *System) positionNode(i int) {
 	if len(replies) < s.cfg.Space.Dims/2+2 {
 		return
 	}
-	anchorCoords := make([]coordspace.Coord, len(replies))
-	rtts := make([]float64, len(replies))
-	for k, r := range replies {
-		anchorCoords[k] = r.Coord
-		rtts[k] = r.RTT
+	s.anchors, s.rtts = s.anchors[:0], s.rtts[:0]
+	for _, r := range replies {
+		s.anchors = append(s.anchors, r.Coord.V...)
+		s.rtts = append(s.rtts, r.RTT)
 	}
-	pos, _ := gnp.PositionHostIter(s.cfg.Space, anchorCoords, rtts, s.coords[i], s.rngs[i], s.cfg.SolveIterations)
+	// The solution aliases solver scratch; copy it into the node's slot.
+	pos, _ := s.host.Position(s.cfg.Space, s.anchors, s.rtts, true, s.coords[i], s.rngs[i], s.cfg.SolveIterations)
 	if pos.IsValid() {
-		s.coords[i] = pos
+		copy(s.coords[i].V, pos.V)
 		s.positioned[i] = true
 	}
 }

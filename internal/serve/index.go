@@ -128,7 +128,7 @@ func (g *gridIndex) cellOf(x, y float64) int {
 	return cy*g.w + cx
 }
 
-// Scratch is the caller-owned query scratch in the DistMany/PercentileInto
+// Scratch is the caller-owned query scratch in the DistMany/Quantiles
 // style: one per reader goroutine, reused across queries. The zero value
 // is ready; buffers grow on first use and the steady state allocates
 // nothing.

@@ -24,7 +24,7 @@
 //     population. The linear scan stays as the correctness oracle and the
 //     paired benchmark baseline.
 //
-//   - Caller-scratch query APIs in the DistMany/PercentileInto style:
+//   - Caller-scratch query APIs in the DistMany/Quantiles style:
 //     EstimateRTT and NearestK allocate nothing once the caller's Scratch
 //     and result slice are warm (guarded by bench-guard's query ceiling).
 //

@@ -10,6 +10,12 @@ type Sharder interface {
 	ForEach(n int, fn func(shard, lo, hi int))
 }
 
+// serialSharder runs every range as one shard on the calling goroutine —
+// what Step and the serial constructors shard over.
+type serialSharder struct{}
+
+func (serialSharder) ForEach(n int, fn func(shard, lo, hi int)) { fn(0, 0, n) }
+
 // parallelScratch holds the per-tick buffers StepParallel reuses across
 // ticks so a steady-state tick (no taps, no sample guard) allocates
 // nothing: the frozen snapshot is a flat store filled by one memcpy per
@@ -23,6 +29,7 @@ type parallelScratch struct {
 	targetIdx  []int             // drawn spring index per node (filter ring key)
 	rtts       []float64         // true RTT of each node's probe
 	resps      []ProbeResponse   // what each prober observed
+	dirs       []float64         // n×stride unit-vector scratch for the update kernel
 	view       *frozenView       // reused tick-start View
 
 	// The sharded phase bodies, captured once. Rebuilding closures per
@@ -50,10 +57,11 @@ func (v *frozenView) Tick() int                { return v.s.tick }
 func (v *frozenView) Size() int                { return v.s.Size() }
 
 func (s *System) scratch() *parallelScratch {
-	if s.par != nil && len(s.par.targets) == s.Size() {
+	if s.par != nil {
 		return s.par
 	}
 	n := s.Size()
+	stride := s.cfg.Space.Dims + 1
 	sc := &parallelScratch{
 		frozen:     coordspace.NewStore(s.cfg.Space, n),
 		frozenErrs: make([]float64, n),
@@ -62,8 +70,8 @@ func (s *System) scratch() *parallelScratch {
 		targetIdx:  make([]int, n),
 		rtts:       make([]float64, n),
 		resps:      make([]ProbeResponse, n),
+		dirs:       make([]float64, n*stride),
 	}
-	s.dirs() // the phases run sharded; allocate their dir scratch up front
 	for i := range sc.srcs {
 		sc.srcs[i] = i
 	}
@@ -122,7 +130,7 @@ func (s *System) scratch() *parallelScratch {
 			if sc.targets[i] < 0 || s.taps[i] != nil {
 				continue // no probe, or malicious (does not move itself)
 			}
-			s.applySample(i, sc.targetIdx[i], sc.resps[i], sc.view)
+			s.applySample(i, sc.targetIdx[i], sc.resps[i], sc.view, sc.dirs[i*stride:(i+1)*stride])
 		}
 	}
 
@@ -130,13 +138,14 @@ func (s *System) scratch() *parallelScratch {
 	return sc
 }
 
-// StepParallel runs one simulation tick sharded across sh. It uses
+// StepParallel runs one simulation tick sharded across sh — the one loop
+// that advances a population (Step is its one-shard form). It uses
 // synchronous (Jacobi-style) semantics: every probe observes the system as
 // it stood when the tick began, and all updates land together at the end
-// of the tick. This differs from Step, whose in-place sweep lets a probe
-// observe coordinates already updated earlier in the same tick; the
-// synchronous form is what makes node updates order-free and therefore
-// safely executable on any number of workers with bit-identical results.
+// of the tick, which makes node updates order-free and therefore safely
+// executable on any number of workers with bit-identical results.
+// Malicious nodes still probe (they must appear to participate) but do not
+// move their own coordinates, since they answer with forged state anyway.
 //
 // Determinism relies on three invariants:
 //
@@ -172,11 +181,7 @@ func (s *System) StepParallel(sh Sharder) {
 			Error: sc.frozenErrs[j],
 			RTT:   sc.rtts[i],
 		}
-		forged := s.taps[j].Respond(i, honest, sc.view)
-		if forged.RTT < honest.RTT {
-			forged.RTT = honest.RTT // delays only; cannot shorten physics
-		}
-		sc.resps[i] = forged
+		sc.resps[i] = consult(s.taps[j], i, honest, sc.view)
 	}
 
 	sh.ForEach(n, sc.phase4)

@@ -10,13 +10,13 @@ import (
 
 func newTestRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// serialSharder mirrors engine.Serial without importing the engine: the
+// shardedInline mirrors engine.Serial without importing the engine: the
 // same fixed 32-wide shard decomposition, executed inline in shard order.
-type serialSharder struct{}
+type shardedInline struct{}
 
 const testShardSize = 32
 
-func (serialSharder) ForEach(n int, fn func(shard, lo, hi int)) {
+func (shardedInline) ForEach(n int, fn func(shard, lo, hi int)) {
 	for s, lo := 0, 0; lo < n; s, lo = s+1, lo+testShardSize {
 		hi := lo + testShardSize
 		if hi > n {
@@ -35,7 +35,7 @@ func (serialSharder) ForEach(n int, fn func(shard, lo, hi int)) {
 func TestStepParallelSteadyStateAllocs(t *testing.T) {
 	m := latency.GenerateKingLike(latency.DefaultKingLike(200), 5)
 	sys := NewSystem(m, Config{}, 11)
-	sh := serialSharder{}
+	sh := shardedInline{}
 	for i := 0; i < 10; i++ {
 		sys.StepParallel(sh) // warm the scratch buffers
 	}
@@ -58,7 +58,7 @@ func TestStepParallelHardenedAllocs(t *testing.T) {
 		GravityRho:         500,
 		NeighborDecayTicks: 200,
 	}}, 11)
-	sh := serialSharder{}
+	sh := shardedInline{}
 	for i := 0; i < 10; i++ {
 		sys.StepParallel(sh)
 	}
@@ -89,7 +89,7 @@ func TestNodeUpdateAllocs(t *testing.T) {
 func TestPartitionBlocksProbes(t *testing.T) {
 	m := latency.GenerateKingLike(latency.DefaultKingLike(60), 4)
 	s := NewSystem(m, Config{}, 5)
-	sh := serialSharder{}
+	sh := shardedInline{}
 	for i := 0; i < 30; i++ {
 		s.StepParallel(sh)
 	}
@@ -120,7 +120,7 @@ func TestPartitionBlocksProbes(t *testing.T) {
 func TestPartitionSidedness(t *testing.T) {
 	m := latency.GenerateKingLike(latency.DefaultKingLike(60), 4)
 	s := NewSystem(m, Config{}, 5)
-	sh := serialSharder{}
+	sh := shardedInline{}
 	for i := 0; i < 5; i++ {
 		s.StepParallel(sh)
 	}
@@ -159,7 +159,7 @@ func TestPartitionSidedness(t *testing.T) {
 func TestStepParallelAllocsWithCut(t *testing.T) {
 	m := latency.GenerateKingLike(latency.DefaultKingLike(200), 5)
 	sys := NewSystem(m, Config{}, 11)
-	sh := serialSharder{}
+	sh := shardedInline{}
 	a, b := make([]bool, sys.Size()), make([]bool, sys.Size())
 	for i := range a {
 		a[i] = i%2 == 0
@@ -175,21 +175,19 @@ func TestStepParallelAllocsWithCut(t *testing.T) {
 	}
 }
 
-// TestStepParallelMatchesAfterStoreRefactor pins the synchronous-tick
-// semantics to an independently computed reference: freezing the state by
-// hand and applying every update through the public ApplyUpdate path must
-// land every node exactly where StepParallel does.
+// TestStepParallelMatchesAfterStoreRefactor pins Step as the inline form
+// of StepParallel: one shard on the calling goroutine and a 32-wide shard
+// decomposition must land every node on exactly the same bits.
 func TestStepParallelMatchesAfterStoreRefactor(t *testing.T) {
 	m := latency.GenerateKingLike(latency.DefaultKingLike(80), 3)
 	a := NewSystem(m, Config{}, 21)
 	b := NewSystem(m, Config{}, 21)
-	sh := serialSharder{}
 	for tick := 0; tick < 40; tick++ {
-		a.StepParallel(sh)
-		b.StepParallel(sh)
+		a.Step()
+		b.StepParallel(shardedInline{})
 	}
 	if !reflect.DeepEqual(a.Coords(), b.Coords()) {
-		t.Fatal("identical systems diverged")
+		t.Fatal("Step and StepParallel diverged")
 	}
 	for i := 0; i < a.Size(); i++ {
 		if a.LocalError(i) != b.LocalError(i) {

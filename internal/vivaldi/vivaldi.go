@@ -88,6 +88,11 @@ func (c Config) withDefaults() Config {
 	if c.CloseNeighbors == 0 {
 		c.CloseNeighbors = 32
 	}
+	if c.CloseNeighbors > c.Neighbors {
+		// The close quota is part of the spring count, never more than it
+		// (Neighbors: 16 against the default quota of 32).
+		c.CloseNeighbors = c.Neighbors
+	}
 	if c.CloseThreshold == 0 {
 		c.CloseThreshold = 50
 	}
@@ -216,13 +221,6 @@ func (n *Node) ViewCoord() coordspace.Coord { return n.st.ViewAt(0) }
 // Error returns the node's current local error estimate.
 func (n *Node) Error() float64 { return n.err }
 
-// SetCoord overrides the node's coordinate (used by attack bootstrap and
-// tests).
-func (n *Node) SetCoord(c coordspace.Coord) { n.st.SetCoordAt(0, c) }
-
-// SetError overrides the node's local error estimate.
-func (n *Node) SetError(e float64) { n.err = clampErr(n.cfg, e) }
-
 // Update applies one measurement sample (see applyRule) with no peer
 // attribution — the per-spring latency filter is skipped because the
 // sample cannot be assigned a ring. Callers that know the responder (the
@@ -318,8 +316,7 @@ type System struct {
 	tick      int
 	cuts      []linkCut // active partitions (usually none)
 	cutSeq    int
-	dirBuf    []float64        // n×stride unit-vector scratch for the update kernel
-	par       *parallelScratch // reusable buffers for StepParallel
+	par       *parallelScratch // reusable per-tick buffers (see scratch)
 	hard      *hardenState     // nil unless Config.Harden enables something
 }
 
@@ -328,25 +325,6 @@ type System struct {
 type linkCut struct {
 	id   int
 	a, b []bool
-}
-
-// dirs returns the n×stride unit-vector scratch, allocating it on first
-// use. It is shared by Step, ApplyUpdate and StepParallel's update phase;
-// serial-only users (the event-driven runner, tests) therefore never
-// materialise the full parallel scratch just to apply one sample.
-func (s *System) dirs() []float64 {
-	if want := s.Size() * (s.cfg.Space.Dims + 1); len(s.dirBuf) != want {
-		s.dirBuf = make([]float64, want)
-	}
-	return s.dirBuf
-}
-
-// dirAt returns node i's stride-sized slice of the unit-vector scratch.
-// Callers must have ensured allocation via dirs() on this goroutine first
-// (the sharded phases rely on that).
-func (s *System) dirAt(i int) []float64 {
-	stride := s.cfg.Space.Dims + 1
-	return s.dirBuf[i*stride : (i+1)*stride]
 }
 
 var _ View = (*System)(nil)
@@ -403,10 +381,9 @@ func NeighborSets(m latency.Substrate, cfg Config, seed int64, sh Sharder) [][]i
 		}
 	}
 	if sh == nil {
-		pick(0, 0, n)
-	} else {
-		sh.ForEach(n, pick)
+		sh = serialSharder{}
 	}
+	sh.ForEach(n, pick)
 	return sets
 }
 
@@ -479,18 +456,11 @@ func pickNeighbors(m latency.Substrate, i int, cfg Config, rng *rand.Rand) []int
 func sampleNeighbors(m latency.Substrate, i int, cfg Config, rng *rand.Rand) []int {
 	n := m.Size()
 	want := cfg.Neighbors
-	// The close quota never exceeds the spring count (a Config with
-	// Neighbors below the default CloseNeighbors=32 would otherwise
-	// over-collect close hosts and underflow the far fill below).
-	closeQuota := cfg.CloseNeighbors
-	if closeQuota > want {
-		closeQuota = want
-	}
 	budget := 48 * want // expected close fraction ~0.1 ⇒ quota met well within this
 	picked := make(map[int]bool, 2*want)
-	close := make([]int, 0, closeQuota)
+	close := make([]int, 0, cfg.CloseNeighbors)
 	far := make([]int, 0, want)
-	for scanned := 0; scanned < budget && len(close) < closeQuota; scanned++ {
+	for scanned := 0; scanned < budget && len(close) < cfg.CloseNeighbors; scanned++ {
 		j := rng.Intn(n)
 		if j == i || picked[j] {
 			continue
@@ -553,29 +523,18 @@ func (s *System) Substrate() latency.Substrate { return s.m }
 // Neighbors returns node i's spring set (not a copy; do not mutate).
 func (s *System) Neighbors(i int) []int { return s.neighbors[i] }
 
-// ApplyUpdate applies one measurement sample to node i using the raw §3.2
-// update rule — the per-node entry point for the event-driven runner,
-// tests and attack bootstraps. It bypasses the hardened pipeline (no
-// per-spring filter state is attributable to an injected sample) and the
-// sample guard, exactly as it did before hardening existed. Simulations go
-// through Step/StepParallel, which route via applySample.
-func (s *System) ApplyUpdate(i int, resp ProbeResponse) {
-	s.dirs()
-	applyRule(s.cfg, s.store, i, &s.errs[i], s.rngs[i], resp, s.dirAt(i))
-}
-
 // applySample runs the hardened update pipeline for one probe response
 // observed by node i on its spring springIdx: latency filter → sample
 // guard → §3.2 update rule → adjustment and gravity on applied samples.
 // The filter precedes the guard deliberately — the filter models the
 // measurement layer, the guard models admission policy on what that layer
-// reports (see Config.Harden). view is what the guard inspects: the live
-// system on the serial path, the frozen snapshot under StepParallel.
+// reports (see Config.Harden). view is what the guard inspects — the
+// tick-start snapshot — and dir is node i's unit-vector scratch.
 //
 // With hardening off this reduces exactly to the pre-hardening guard +
 // update sequence: same branches, same RNG consumption, bit-identical
 // coordinates (pinned by the equivalence suite in internal/engine).
-func (s *System) applySample(i, springIdx int, resp ProbeResponse, view View) {
+func (s *System) applySample(i, springIdx int, resp ProbeResponse, view View, dir []float64) {
 	if s.hard != nil && s.hard.opts.LatencyWindow > 0 && springIdx >= 0 && resp.RTT > 0 {
 		resp.RTT = s.hard.filterRTT(i, springIdx, s.tick, resp.RTT)
 	}
@@ -585,7 +544,7 @@ func (s *System) applySample(i, springIdx int, resp ProbeResponse, view View) {
 			return
 		}
 	}
-	if !applyRule(s.cfg, s.store, i, &s.errs[i], s.rngs[i], resp, s.dirAt(i)) {
+	if !applyRule(s.cfg, s.store, i, &s.errs[i], s.rngs[i], resp, dir) {
 		return
 	}
 	if s.hard != nil {
@@ -593,16 +552,10 @@ func (s *System) applySample(i, springIdx int, resp ProbeResponse, view View) {
 			s.hard.updateAdjustment(s.store, i, resp)
 		}
 		if s.hard.opts.GravityRho > 0 {
-			s.hard.applyGravity(s.store, i, s.dirAt(i))
+			s.hard.applyGravity(s.store, i, dir)
 		}
 	}
 }
-
-// SetNodeCoord overrides node i's coordinate (tests and attack bootstrap).
-func (s *System) SetNodeCoord(i int, c coordspace.Coord) { s.store.SetCoordAt(i, c) }
-
-// SetNodeError overrides node i's local error estimate.
-func (s *System) SetNodeError(i int, e float64) { s.errs[i] = clampErr(s.cfg, e) }
 
 // ResetNode returns node i to its just-joined state (origin coordinate,
 // initial error, cleared hardening windows). Experiments use it to model
@@ -672,15 +625,25 @@ func (s *System) linkBlocked(i, j int) bool {
 // responses from i pass through the tap afterwards.
 func (s *System) SetTap(i int, t Tap) { s.taps[i] = t }
 
-// TapOf returns the tap installed on node i, or nil.
-func (s *System) TapOf(i int) Tap { return s.taps[i] }
-
 // IsMalicious reports whether node i currently has a tap installed.
 func (s *System) IsMalicious(i int) bool { return s.taps[i] != nil }
 
-// Probe performs one measurement of j by i and returns what i observed.
-// The honest response is the true RTT plus j's reported state; a tap on j
-// may falsify coordinates and error and may only *increase* the RTT.
+// consult passes an honest response through tap and enforces the one
+// physical constraint on what it returns: a responder can delay a probe
+// but never shorten it (§5.3.2).
+func consult(tap Tap, prober int, honest ProbeResponse, view View) ProbeResponse {
+	forged := tap.Respond(prober, honest, view)
+	if forged.RTT < honest.RTT {
+		forged.RTT = honest.RTT // delays only; cannot shorten physics
+	}
+	return forged
+}
+
+// Probe performs one measurement of j by i against the current state and
+// returns what i observed: the true RTT plus j's reported state, passed
+// through j's tap if one is installed. It is the out-of-tick inspection
+// path (tests, demos); ticks resolve their probes against the tick-start
+// snapshot in StepParallel.
 func (s *System) Probe(i, j int) ProbeResponse {
 	honest := ProbeResponse{
 		Coord: s.store.CoordAt(j),
@@ -688,41 +651,14 @@ func (s *System) Probe(i, j int) ProbeResponse {
 		RTT:   s.m.RTT(i, j),
 	}
 	if tap := s.taps[j]; tap != nil {
-		forged := tap.Respond(i, honest, s)
-		if forged.RTT < honest.RTT {
-			forged.RTT = honest.RTT // delays only; cannot shorten physics
-		}
-		return forged
+		return consult(tap, i, honest, s)
 	}
 	return honest
 }
 
-// Step runs one simulation tick: every node probes one uniformly random
-// neighbour and applies the update rule, in place, in node order
-// (Gauss-Seidel semantics — a probe may observe coordinates already
-// updated earlier in the same tick). Malicious nodes still probe (they
-// must appear to participate) but do not move their own coordinates, since
-// they answer with forged state anyway.
-func (s *System) Step() {
-	s.tick++
-	s.dirs()
-	for i := 0; i < s.Size(); i++ {
-		nbrs := s.neighbors[i]
-		if len(nbrs) == 0 {
-			continue
-		}
-		idx := s.rngs[i].Intn(len(nbrs))
-		j := nbrs[idx]
-		if len(s.cuts) != 0 && s.linkBlocked(i, j) {
-			continue // probe lost to a partition; the target draw is kept
-		}
-		resp := s.Probe(i, j)
-		if s.taps[i] != nil {
-			continue // malicious nodes do not move themselves
-		}
-		s.applySample(i, idx, resp, s)
-	}
-}
+// Step runs one simulation tick on the calling goroutine: the inline form
+// of StepParallel (one shard), bit-identical to it on any Sharder.
+func (s *System) Step() { s.StepParallel(serialSharder{}) }
 
 // Run executes n ticks.
 func (s *System) Run(n int) {

@@ -24,8 +24,6 @@ func lineMatrix(pos []float64) *latency.Matrix {
 func TestNodeUpdateMovesTowardCorrectDistance(t *testing.T) {
 	cfg := Config{Space: coordspace.Euclidean(2)}
 	n := NewNode(cfg, randx.New(1))
-	n.SetCoord(coordspace.Coord{V: []float64{0, 0}})
-	n.SetError(1)
 	remote := ProbeResponse{
 		Coord: coordspace.Coord{V: []float64{100, 0}},
 		Error: 1,
@@ -118,33 +116,40 @@ func TestHeightSpaceConvergence(t *testing.T) {
 	}
 }
 
+// TestNeighborStructure checks the full-scan spring selection: full sets,
+// no self-springs, no duplicates, some close springs. The Neighbors: 16
+// case is the regression for a spring count below the default close quota
+// of 32 — unclamped, the quota overshot the set size, the "set is full"
+// check was stepped over and nodes collected up to n−1 springs.
 func TestNeighborStructure(t *testing.T) {
 	m := latency.GenerateKingLike(latency.DefaultKingLike(300), 8)
-	cfg := Config{}.withDefaults()
-	s := NewSystem(m, cfg, 9)
-	for i := 0; i < m.Size(); i++ {
-		nbrs := s.Neighbors(i)
-		if len(nbrs) != cfg.Neighbors {
-			t.Fatalf("node %d has %d neighbours, want %d", i, len(nbrs), cfg.Neighbors)
-		}
-		seen := map[int]bool{}
-		closeCount := 0
-		for _, j := range nbrs {
-			if j == i {
-				t.Fatalf("node %d is its own neighbour", i)
+	for _, cfg := range []Config{{}, {Neighbors: 16}} {
+		s := NewSystem(m, cfg, 9)
+		cfg = s.Config()
+		for i := 0; i < m.Size(); i++ {
+			nbrs := s.Neighbors(i)
+			if len(nbrs) != cfg.Neighbors {
+				t.Fatalf("node %d has %d neighbours, want %d", i, len(nbrs), cfg.Neighbors)
 			}
-			if seen[j] {
-				t.Fatalf("node %d has duplicate neighbour %d", i, j)
+			seen := map[int]bool{}
+			closeCount := 0
+			for _, j := range nbrs {
+				if j == i {
+					t.Fatalf("node %d is its own neighbour", i)
+				}
+				if seen[j] {
+					t.Fatalf("node %d has duplicate neighbour %d", i, j)
+				}
+				seen[j] = true
+				if m.RTT(i, j) < cfg.CloseThreshold {
+					closeCount++
+				}
 			}
-			seen[j] = true
-			if m.RTT(i, j) < cfg.CloseThreshold {
-				closeCount++
+			// The generator's clusters guarantee plenty of <50ms candidates;
+			// at least some close neighbours must have been selected.
+			if closeCount == 0 {
+				t.Fatalf("node %d selected no close neighbours", i)
 			}
-		}
-		// The generator's clusters guarantee plenty of <50ms candidates;
-		// at least some close neighbours must have been selected.
-		if closeCount == 0 {
-			t.Fatalf("node %d selected no close neighbours", i)
 		}
 	}
 }
@@ -152,9 +157,9 @@ func TestNeighborStructure(t *testing.T) {
 // TestNeighborStructureSampled exercises the sampled spring selection
 // used above neighborScanLimit, on the O(n) model backend: full spring
 // sets, no self-springs, no duplicates, and a few close springs where
-// the topology offers them. Includes the regression case of a spring
-// count below the default close quota (CloseNeighbors clamps to
-// Neighbors; an unclamped quota underflowed the far fill and panicked).
+// the topology offers them. Includes a spring count below the default
+// close quota (withDefaults clamps CloseNeighbors to Neighbors; an
+// unclamped quota underflowed the far fill and panicked).
 func TestNeighborStructureSampled(t *testing.T) {
 	n := neighborScanLimit + 100
 	mo := latency.NewKingLikeModel(latency.DefaultKingLike(n), 6)

@@ -29,6 +29,11 @@
 //	}
 //	sys.Run(1500)
 //
+// Run and Step advance the population with the one tick kernel the
+// experiment engine shards across its worker pool — Step is its inline,
+// one-shard form, bit-identical to any pooled run — so this loop and the
+// registered figures execute the same dynamics.
+//
 // The experiment registry is exposed through Experiments and RunExperiment;
 // the cmd/vna-sim tool is a thin wrapper around them.
 package vna
