@@ -76,7 +76,10 @@ bench-serve:
 # snapshot) must stay within SERVE_ALLOC_CEILING allocs/op — it measures
 # 0 today; the ceiling of 8 leaves room for incidental runtime noise while
 # still catching any per-candidate or per-result allocation (k=16 results
-# at 50k nodes would blow straight through it).
+# at 50k nodes would blow straight through it). The same query with 16
+# nodes at the 50 000 ms exile radius (BenchmarkServeNearestK50kExiled,
+# matched by the same -bench pattern) shares the ceiling, so the attacked
+# query path can neither start allocating nor drop out of the run.
 #
 # The NPS positioning round carries the fourth guard: a warm round at the
 # paper's 1740 nodes (BenchmarkNPSPosition1740 — batched probe gather,
@@ -108,6 +111,7 @@ BENCH_CEILINGS = \
 	BenchmarkTickHardened1740:steady-state_hardened_tick:$(TICK_ALLOC_CEILING) \
 	BenchmarkLiveTick1740:steady-state_live_tick:$(TICK_ALLOC_CEILING) \
 	BenchmarkServeNearestK50k:serve_k-NN_query:$(SERVE_ALLOC_CEILING) \
+	BenchmarkServeNearestK50kExiled:serve_k-NN_query_under_exile:$(SERVE_ALLOC_CEILING) \
 	BenchmarkNPSPosition1740:NPS_positioning_round:$(NPS_ALLOC_CEILING)
 
 bench-check:

@@ -11,6 +11,7 @@ package vna
 // paper scale, use: go run repro/cmd/vna-sim -scenario all -preset full
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/coordspace"
@@ -593,18 +594,26 @@ func BenchmarkAblationAbsoluteObjective(b *testing.B) {
 // serveSnapshot builds one published snapshot over a RandomAt-filled
 // population — k-NN performance depends only on the spatial distribution,
 // so no substrate or simulation is needed.
-func serveSnapshot(n int) *serve.Snapshot {
+func serveSnapshot(n int) *serve.Snapshot { return serveSnapshotExiled(n, 0) }
+
+// serveSnapshotExiled is serveSnapshot with its last `exiled` nodes moved
+// to the paper's 50 000 ms repulsion radius, each at its own bearing.
+func serveSnapshotExiled(n, exiled int) *serve.Snapshot {
 	st := coordspace.NewStore(coordspace.EuclideanHeight(2), n)
 	rng := randx.New(int64(n))
 	for i := 0; i < n; i++ {
 		st.RandomAt(i, rng, 250)
 	}
+	for i := n - exiled; i < n; i++ {
+		theta := rng.Float64() * 2 * math.Pi
+		st.SetCoordAt(i, coordspace.Coord{V: []float64{50_000 * math.Cos(theta), 50_000 * math.Sin(theta)}, H: st.HeightAt(i)})
+	}
 	return serve.NewEngine().Publish(st, 0)
 }
 
-func benchServeNearestK(b *testing.B, n int, linear bool) {
+func benchServeNearestK(b *testing.B, n, exiled int, linear bool) {
 	b.Helper()
-	snap := serveSnapshot(n)
+	snap := serveSnapshotExiled(n, exiled)
 	var sc serve.Scratch
 	out := make([]serve.Neighbor, 0, 16)
 	// Warm the scratch so the measured loop is the steady query path.
@@ -626,10 +635,15 @@ func benchServeNearestK(b *testing.B, n int, linear bool) {
 // 50 000 nodes) and carries bench-guard's serve allocs/op ceiling;
 // BenchmarkServeNearestKLinear50k is the paired O(n) oracle baseline the
 // >=10x speedup criterion is measured against.
-func BenchmarkServeNearestK50k(b *testing.B)       { benchServeNearestK(b, 50_000, false) }
-func BenchmarkServeNearestKLinear50k(b *testing.B) { benchServeNearestK(b, 50_000, true) }
-func BenchmarkServeNearestK5k(b *testing.B)        { benchServeNearestK(b, 5_000, false) }
-func BenchmarkServeNearestK1740(b *testing.B)      { benchServeNearestK(b, 1740, false) }
+func BenchmarkServeNearestK50k(b *testing.B)       { benchServeNearestK(b, 50_000, 0, false) }
+func BenchmarkServeNearestKLinear50k(b *testing.B) { benchServeNearestK(b, 50_000, 0, true) }
+func BenchmarkServeNearestK5k(b *testing.B)        { benchServeNearestK(b, 5_000, 0, false) }
+func BenchmarkServeNearestK1740(b *testing.B)      { benchServeNearestK(b, 1740, 0, false) }
+
+// BenchmarkServeNearestK50kExiled is the same query under attack: 16 nodes
+// at the exile radius must not pull the index back to the linear scan. It
+// shares bench-guard's serve allocs/op ceiling.
+func BenchmarkServeNearestK50kExiled(b *testing.B) { benchServeNearestK(b, 50_000, 16, false) }
 
 func BenchmarkServeEstimateRTT50k(b *testing.B) {
 	snap := serveSnapshot(50_000)

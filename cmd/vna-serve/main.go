@@ -257,8 +257,8 @@ func accumulate(total *serve.LoadGenResult, res serve.LoadGenResult) {
 
 func report(eng *serve.Engine, res serve.LoadGenResult, nodes int, kind string, asJSON bool) {
 	st := eng.Stats()
-	fmt.Fprintf(os.Stderr, "done: %d snapshots published, epoch %d at tick %d, max staleness %d ticks\n",
-		st.Published, st.Epoch, st.Tick, st.MaxStalenessTicks)
+	fmt.Fprintf(os.Stderr, "done: %d snapshots published, epoch %d at tick %d, max staleness %d ticks, %d of %d nodes outside the index box\n",
+		st.Published, st.Epoch, st.Tick, st.MaxStalenessTicks, st.Clamped, nodes)
 	if asJSON {
 		entry := map[string]any{
 			"date":          time.Now().Format("2006-01-02"),

@@ -136,6 +136,7 @@ type Stats struct {
 	Epoch             uint64 // current epoch (== Published)
 	Tick              int    // tick of the current snapshot (-1 when none)
 	MaxStalenessTicks int    // widest tick gap between consecutive snapshots
+	Clamped           int    // current snapshot's nodes outside the index box (exiled)
 }
 
 // Stats returns the publication counters. The max staleness is the widest
@@ -149,7 +150,7 @@ func (e *Engine) Stats() Stats {
 	}
 	s.Epoch = s.Published
 	if snap := e.cur.Load(); snap != nil {
-		s.Tick = snap.tick
+		s.Tick, s.Clamped = snap.tick, snap.grid.clamped
 	}
 	return s
 }

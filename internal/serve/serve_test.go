@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,6 +31,34 @@ func publish(t *testing.T, st *coordspace.Store) *Snapshot {
 	return NewEngine().Publish(st, 0)
 }
 
+// checkAgainstLinear answers every node's k-NN for k ∈ {1, 4, 16} on both
+// paths: ids, distances, ascending order and lower-id tie-breaks must be
+// bit-identical.
+func checkAgainstLinear(t *testing.T, label string, snap *Snapshot) {
+	t.Helper()
+	var sc, scLin Scratch
+	var got, want []Neighbor
+	for _, k := range []int{1, 4, 16} {
+		for node := 0; node < snap.Len(); node++ {
+			got = snap.NearestK(node, k, &sc, got)
+			want = snap.NearestKLinear(node, k, &scLin, want)
+			if len(got) != len(want) {
+				t.Fatalf("%s k=%d node=%d: grid %d results, linear %d", label, k, node, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+					t.Fatalf("%s k=%d node=%d result %d: grid %+v, linear %+v", label, k, node, i, got[i], want[i])
+				}
+			}
+			for i := 1; i < len(got); i++ {
+				if heapWorse(got[i-1].Dist, got[i-1].ID, got[i].Dist, got[i].ID) {
+					t.Fatalf("%s k=%d node=%d: results out of order at %d: %+v", label, k, node, i, got)
+				}
+			}
+		}
+	}
+}
+
 // TestNearestKMatchesLinear is the index-vs-oracle property test: over
 // random populations (with and without the height dimension), every grid
 // answer must be bit-identical to the linear scan — same ids, same
@@ -40,7 +70,6 @@ func TestNearestKMatchesLinear(t *testing.T) {
 		coordspace.EuclideanHeight(2),
 	}
 	sizes := []int{2, 3, 17, 120, 400}
-	var sc, scLin Scratch
 	for si, space := range spaces {
 		for _, n := range sizes {
 			st := randomStore(space, n, int64(100*si+n))
@@ -50,30 +79,162 @@ func TestNearestKMatchesLinear(t *testing.T) {
 					st.CopySlotFrom(dup, st, 0)
 				}
 			}
-			snap := publish(t, st)
-			var got, want []Neighbor
-			for _, k := range []int{1, 4, 16} {
-				for node := 0; node < n; node++ {
-					got = snap.NearestK(node, k, &sc, got)
-					want = snap.NearestKLinear(node, k, &scLin, want)
-					if len(got) != len(want) {
-						t.Fatalf("%s n=%d k=%d node=%d: grid %d results, linear %d",
-							space.Name(), n, k, node, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("%s n=%d k=%d node=%d result %d: grid %+v, linear %+v",
-								space.Name(), n, k, node, i, got[i], want[i])
-						}
-					}
-					for i := 1; i < len(got); i++ {
-						if heapWorse(got[i-1].Dist, got[i-1].ID, got[i].Dist, got[i].ID) {
-							t.Fatalf("%s n=%d k=%d node=%d: results out of order at %d: %+v", space.Name(), n, k, node, i, got)
-						}
-					}
+			checkAgainstLinear(t, fmt.Sprintf("%s n=%d", space.Name(), n), publish(t, st))
+		}
+	}
+}
+
+// setPlanar moves node i to (x, y) — x alone in a 1-D space — keeping its
+// other components and height.
+func setPlanar(st *coordspace.Store, i int, x, y float64) {
+	c := st.CoordAt(i)
+	c.V[0] = x
+	if len(c.V) > 1 {
+		c.V[1] = y
+	}
+	st.SetCoordAt(i, c)
+}
+
+// exileTo moves the first m nodes to the given radius, each at a seeded
+// bearing drawn from [0, arc).
+func exileTo(st *coordspace.Store, m int, radius, arc float64, seed int64) {
+	rng := randx.New(seed)
+	for i := 0; i < m; i++ {
+		theta := rng.Float64() * arc
+		setPlanar(st, i, radius*math.Cos(theta), radius*math.Sin(theta))
+	}
+}
+
+// scaleAll multiplies every Euclidean component by f (heights stay).
+func scaleAll(st *coordspace.Store, f float64) {
+	for i := 0; i < st.Len(); i++ {
+		c := st.CoordAt(i)
+		for d := range c.V {
+			c.V[d] *= f
+		}
+		st.SetCoordAt(i, c)
+	}
+}
+
+// TestNearestKMatchesLinearHostile is the same identity on the geometries
+// an attacker (or a bug upstream) can leave in the store. Every node is a
+// query node, so every out-of-box node is one too. The ±MaxFloat64 cases
+// panicked in Publish, and the underflow case broke tie order, before the
+// index chose its box robustly and clamped in float.
+func TestNearestKMatchesLinearHostile(t *testing.T) {
+	spaces := []coordspace.Space{
+		coordspace.Euclidean(1),
+		coordspace.Euclidean(2),
+		coordspace.Euclidean(5),
+		coordspace.EuclideanHeight(2),
+	}
+	geometries := []struct {
+		name string
+		warp func(st *coordspace.Store)
+	}{
+		{"16 exiled at 50000 ms", func(st *coordspace.Store) { exileTo(st, min(16, st.Len()/2), 50_000, 2*math.Pi, 5) }},
+		{"one node at 1e39", func(st *coordspace.Store) { setPlanar(st, st.Len()/2, 1e39, -1e39) }},
+		{"two nodes at ±MaxFloat64", func(st *coordspace.Store) {
+			setPlanar(st, 0, math.MaxFloat64, 0)
+			setPlanar(st, st.Len()-1, -math.MaxFloat64, 0)
+		}},
+		{"30% + 30% at ±MaxFloat64", func(st *coordspace.Store) { // fences give way: the extent overflows
+			for i := 0; i < 3*st.Len()/10; i++ {
+				setPlanar(st, i, math.MaxFloat64, math.MaxFloat64)
+				setPlanar(st, st.Len()-1-i, -math.MaxFloat64, -math.MaxFloat64)
+			}
+		}},
+		{"30% exiled on one bearing", func(st *coordspace.Store) { exileTo(st, 3*st.Len()/10, 50_000, 0.1, 6) }},
+		{"60% coincident", func(st *coordspace.Store) { // IQR == 0 on every axis
+			for i := 1; i < 6*st.Len()/10; i++ {
+				st.CopySlotFrom(i, st, 0)
+			}
+		}},
+		{"denormal spread", func(st *coordspace.Store) { scaleAll(st, 1e-320) }},
+		{"spread whose squares underflow", func(st *coordspace.Store) { scaleAll(st, 1e-200) }},
+	}
+	for _, geo := range geometries {
+		t.Run(geo.name, func(t *testing.T) {
+			for si, space := range spaces {
+				for _, n := range []int{2, 17, 400} {
+					st := randomStore(space, n, int64(1000*si+n))
+					st.CopySlotFrom(n-1, st, n/2) // one exact tie
+					geo.warp(st)
+					checkAgainstLinear(t, fmt.Sprintf("%s n=%d", space.Name(), n), publish(t, st))
 				}
 			}
+		})
+	}
+}
+
+// FuzzNearestKMatchesLinear decodes bytes into a store — byte 0 picks the
+// space, then 8 bytes per float64 bit pattern, non-finite values read as 0
+// and heights folded to ≥ MinHeight — and holds the index to the oracle.
+// The committed seeds under testdata/fuzz run inside plain `go test`.
+func FuzzNearestKMatchesLinear(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
 		}
+		spaces := []coordspace.Space{
+			coordspace.Euclidean(1), coordspace.Euclidean(2), coordspace.Euclidean(5), coordspace.EuclideanHeight(2),
+		}
+		space := spaces[int(b[0])%len(spaces)]
+		b = b[1:]
+		stride := space.Dims
+		if space.HasHeight {
+			stride++
+		}
+		n := min(len(b)/(8*stride), 64)
+		st := coordspace.NewStore(space, n)
+		for i := 0; i < n; i++ {
+			c := coordspace.Coord{V: make([]float64, space.Dims), H: space.MinHeight}
+			for d := 0; d < stride; d++ {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(b[8*(i*stride+d):]))
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					v = 0
+				}
+				if d < space.Dims {
+					c.V[d] = v
+				} else {
+					c.H += math.Abs(v)
+				}
+			}
+			st.SetCoordAt(i, c)
+		}
+		checkAgainstLinear(t, space.Name(), NewEngine().Publish(st, 0))
+	})
+}
+
+// TestGridShapeIgnoresExiles pins what the robust box buys as structure,
+// not wall-clock: with 16 of 20 000 nodes at the exile radius the honest
+// nodes stay spread over many small cells (a bounding-box grid holds all
+// n−16 of them in one), the 16 are counted, and pushing them ten times
+// further out changes nothing in the index at all.
+func TestGridShapeIgnoresExiles(t *testing.T) {
+	const n, exiles = 20_000, 16
+	st := randomStore(coordspace.Euclidean(2), n, 9)
+	if g := publish(t, st).grid; g.clamped != 0 {
+		t.Fatalf("clean uniform population: %d nodes clamped, want 0", g.clamped)
+	}
+	exileTo(st, exiles, 50_000, 2*math.Pi, 9)
+	g := publish(t, st).grid
+	if g.clamped != exiles {
+		t.Fatalf("clamped %d nodes, want the %d exiles", g.clamped, exiles)
+	}
+	inSmall := 0
+	for c := 0; c < g.w*g.h; c++ {
+		if occ := int(g.start[c+1] - g.start[c]); occ <= 32 {
+			inSmall += occ
+		}
+	}
+	if inSmall < n*99/100 {
+		t.Fatalf("only %d of %d nodes sit in cells holding ≤ 32 ids (grid %d×%d, cell %g)", inSmall, n, g.w, g.h, g.cell)
+	}
+	exileTo(st, exiles, 500_000, 2*math.Pi, 9)
+	if far := publish(t, st).grid; !reflect.DeepEqual(g, far) {
+		t.Fatalf("index depends on how far the exiles sit: %d×%d cell %g at 50 000 ms, %d×%d cell %g at 500 000 ms",
+			g.w, g.h, g.cell, far.w, far.h, far.cell)
 	}
 }
 
@@ -141,6 +302,17 @@ func TestEngineStats(t *testing.T) {
 	}
 	if ep := eng.Current().Epoch(); ep != 3 {
 		t.Fatalf("current epoch %d, want 3", ep)
+	}
+	if s.Clamped != 0 {
+		t.Fatalf("clean population reports %d clamped nodes", s.Clamped)
+	}
+	// Two nodes repelled to the exile radius are what the index clamps into
+	// its border cells, and what the stats count for the current snapshot.
+	setPlanar(st, 3, 50_000, 50_000)
+	setPlanar(st, 7, -50_000, -50_000)
+	eng.Publish(st, 500)
+	if s := eng.Stats(); s.Clamped != 2 || s.Published != 4 {
+		t.Fatalf("stats with two exiled nodes: %+v", s)
 	}
 }
 
