@@ -108,7 +108,7 @@ func BenchmarkEngineParallel8(b *testing.B) { benchEngineParallel(b, 8) }
 // the same kernel inline on one shard).
 func BenchmarkEngineTickSharded(b *testing.B) {
 	m := benchMatrix(1740)
-	cs := engine.NewVivaldi(m, vivaldi.Config{}, 1)
+	cs := engine.NewVivaldiSharded(m, vivaldi.Config{}, 1, nil)
 	pool := engine.NewPool(8)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -127,7 +127,7 @@ func BenchmarkEngineTickSharded(b *testing.B) {
 // adds only goroutine bookkeeping).
 func BenchmarkTickSharded5k(b *testing.B) {
 	m := benchMatrix(5000)
-	cs := engine.NewVivaldi(m, vivaldi.Config{}, 1)
+	cs := engine.NewVivaldiSharded(m, vivaldi.Config{}, 1, nil)
 	pool := engine.NewPool(8)
 	cs.Step(pool) // warm the scratch buffers
 	b.ReportAllocs()
@@ -145,12 +145,12 @@ func BenchmarkTickSharded5k(b *testing.B) {
 // add arithmetic, not heap traffic.
 func BenchmarkTickHardened1740(b *testing.B) {
 	m := benchMatrix(1740)
-	cs := engine.NewVivaldi(m, vivaldi.Config{Harden: vivaldi.Hardening{
+	cs := engine.NewVivaldiSharded(m, vivaldi.Config{Harden: vivaldi.Hardening{
 		LatencyWindow:      5,
 		AdjustmentWindow:   10,
 		GravityRho:         500,
 		NeighborDecayTicks: 200,
-	}}, 1)
+	}}, 1, nil)
 	pool := engine.NewPool(8)
 	cs.Step(pool) // warm the scratch buffers
 	b.ReportAllocs()
@@ -165,7 +165,7 @@ func BenchmarkTickHardened1740(b *testing.B) {
 // the per-sample cost of the engine's accuracy series at scale.
 func BenchmarkMeasure5k(b *testing.B) {
 	m := benchMatrix(5000)
-	cs := engine.NewVivaldi(m, vivaldi.Config{}, 1)
+	cs := engine.NewVivaldiSharded(m, vivaldi.Config{}, 1, nil)
 	pool := engine.NewPool(8)
 	for i := 0; i < 20; i++ {
 		cs.Step(pool)
@@ -268,7 +268,7 @@ func BenchmarkTickSharded25kModel(b *testing.B) {
 
 func benchLiveTick(b *testing.B, m latency.Substrate) {
 	b.Helper()
-	cs := engine.NewLive(m, vivaldi.Config{}, 1, engine.Serial{})
+	cs := engine.NewLiveNet(m, vivaldi.Config{}, 1, engine.Serial{}, engine.LiveNetConfig{})
 	// An active partition cut (first 64 nodes severed from the rest) keeps
 	// the campaign-era packet path honest: the per-send severed check is a
 	// pair of mask lookups and must not put anything on the heap.

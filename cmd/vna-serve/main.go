@@ -37,6 +37,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/latency"
+	"repro/internal/prof"
 	"repro/internal/serve"
 	"repro/internal/vivaldi"
 )
@@ -56,8 +57,18 @@ func main() {
 		presetFlag   = flag.String("preset", "bench", "scale preset for -campaign: bench, quick, standard or full")
 		workersFlag  = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS)")
 		jsonFlag     = flag.Bool("json", false, "emit a BENCH_serve.json trajectory entry on stdout")
+		cpuFlag      = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memFlag      = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
+	if *everyFlag < 1 {
+		fmt.Fprintf(os.Stderr, "vna-serve: -every %d: must publish every 1 or more ticks\n", *everyFlag)
+		os.Exit(2)
+	}
+	stopProfiles, err := prof.Start(*cpuFlag, *memFlag)
+	if err != nil {
+		fatal(err)
+	}
 
 	switch {
 	case *campaignFlag:
@@ -68,6 +79,9 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "vna-serve: one of -loadgen or -campaign is required")
 		os.Exit(2)
+	}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
 }
 

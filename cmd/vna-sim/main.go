@@ -15,8 +15,10 @@
 // only — at a fixed seed the produced series are bit-identical for any
 // worker count. -substrate selects the latency backend (dense, packed or
 // model) for runs that do not pin one; the run banner reports the
-// selected backend and its resident RTT-state size. -exp is accepted as
-// an alias of -scenario.
+// selected backend and its resident RTT-state size, and what the engine
+// planned: how many units run and how many clean convergences they share.
+// -cpuprofile / -memprofile write pprof profiles of the run. -exp is
+// accepted as an alias of -scenario.
 package main
 
 import (
@@ -31,6 +33,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiment"
 	"repro/internal/latency"
+	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/vivaldi"
 )
@@ -46,6 +49,8 @@ func main() {
 		formatFlag   = flag.String("format", "table", "output format: table, csv or plot")
 		outFlag      = flag.String("out", "", "output directory (default: stdout)")
 		listFlag     = flag.Bool("list", false, "list registered scenarios and exit")
+		cpuFlag      = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memFlag      = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
 
@@ -96,6 +101,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	stopProfiles, err := prof.Start(*cpuFlag, *memFlag)
+	if err != nil {
+		fatal(err)
+	}
 
 	var ids []string
 	if sel == "all" {
@@ -134,6 +143,10 @@ func main() {
 		for _, tl := range campaignTimelines(id) {
 			fmt.Fprintf(os.Stderr, "  campaign %s\n", tl)
 		}
+		if sp, ok := engine.Get(id); ok && sp.Custom == nil {
+			units, groups, shared := engine.Plan(sp, preset)
+			fmt.Fprintf(os.Stderr, "  plan: %d units in %d groups: %d clean convergences shared\n", units, groups, shared)
+		}
 		result, err := experiment.RunWith(id, preset, *workersFlag)
 		if err != nil {
 			fatal(err)
@@ -162,6 +175,9 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println()
+	}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
 }
 

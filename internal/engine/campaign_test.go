@@ -78,7 +78,7 @@ func TestScheduleValidation(t *testing.T) {
 // TestSelectorResolve pins the selector semantics on a real population.
 func TestSelectorResolve(t *testing.T) {
 	m := SubgroupMatrix(liveScale, 48)
-	cs := NewVivaldi(m, vivaldi.Config{}, 3)
+	cs := NewVivaldiSharded(m, vivaldi.Config{}, 3, nil)
 	rng := lazyRng(3, "test-sel", 0)
 
 	all, err := Selector{}.resolve(cs, nil, rng)
@@ -107,7 +107,7 @@ func TestSelectorResolve(t *testing.T) {
 	}
 
 	// Landmarks on NPS: exactly the layer-0 nodes.
-	nsys := NewNPS(m, nps.Config{ProbeThresholdMS: 5000, SolveIterations: 120}, 3)
+	nsys := NewNPSSharded(m, nps.Config{ProbeThresholdMS: 5000, SolveIterations: 120}, 3, Serial{})
 	lms, err := Selector{Kind: SelLandmarks}.resolve(nsys, nil, rng)
 	if err != nil || len(lms) == 0 {
 		t.Fatalf("SelLandmarks on nps: %d nodes, err %v", len(lms), err)
@@ -164,7 +164,7 @@ func TestCampaignAttackRemoval(t *testing.T) {
 // back into convergence afterwards.
 func TestCampaignPartitionMemory(t *testing.T) {
 	m := SubgroupMatrix(liveScale, 48)
-	cs := NewVivaldi(m, vivaldi.Config{}, 5)
+	cs := NewVivaldiSharded(m, vivaldi.Config{}, 5, nil)
 	pool := NewPool(4)
 	for i := 0; i < 50; i++ {
 		cs.Step(pool)
@@ -203,7 +203,7 @@ func TestCampaignPartitionMemory(t *testing.T) {
 // stats) and restored the previous knobs at Until.
 func TestCampaignFaultAccounting(t *testing.T) {
 	m := BaseMatrix(liveScale)
-	cs := NewLive(m, vivaldi.Config{}, 9, Serial{})
+	cs := NewLiveNet(m, vivaldi.Config{}, 9, Serial{}, LiveNetConfig{})
 	ls := cs.(*liveSystem)
 	fm := cs.(FaultMutator)
 

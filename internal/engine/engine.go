@@ -70,6 +70,15 @@ type CoordSystem interface {
 	// every sample keeps the steady-state measurement loop allocation-
 	// free.
 	Measure(peers [][]int, include func(int) bool, sh Sharder, out []float64) []float64
+
+	// Clone returns an independent copy of the system at its current tick
+	// that continues bit-identically — how the scenario runner lets the
+	// runs of a sweep converge once and fork per attack. Callers fork only
+	// at a barrier with no tap installed and no partition active (the
+	// adapters panic otherwise: taps carry private mutable state). A
+	// backend that cannot fork returns nil — the live backend, whose
+	// scheduler has packets in flight.
+	Clone() CoordSystem
 }
 
 // Injection records what an attack installation decided, for measurement:

@@ -160,7 +160,7 @@ func TestStepParallelMatchesAcrossSharders(t *testing.T) {
 	m := BaseMatrix(sc)
 
 	build := func() CoordSystem {
-		cs := NewVivaldi(m, vivaldi.Config{}, 99)
+		cs := NewVivaldiSharded(m, vivaldi.Config{}, 99, nil)
 		mal := []int{3, 7, 11, 19}
 		if _, err := cs.Inject(AttackSpec{Kind: AttackColludeRepel}, mal, 99); err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func TestStepParallelMatchesAcrossSharders(t *testing.T) {
 	}
 
 	buildNPS := func() CoordSystem {
-		cs := NewNPS(m, nps.Config{Security: true, ProbeThresholdMS: 5000, SolveIterations: 120}, 7)
+		cs := NewNPSSharded(m, nps.Config{Security: true, ProbeThresholdMS: 5000, SolveIterations: 120}, 7, Serial{})
 		var mal []int
 		for i := 0; i < cs.Size() && len(mal) < 8; i++ {
 			if cs.EligibleAttacker(i) {
@@ -242,7 +242,7 @@ func TestStepParallelMatchesAcrossSharders(t *testing.T) {
 // plain metrics implementation.
 func TestMeasureSharded(t *testing.T) {
 	m := BaseMatrix(testScale)
-	cs := NewVivaldi(m, vivaldi.Config{}, 5)
+	cs := NewVivaldiSharded(m, vivaldi.Config{}, 5, nil)
 	for i := 0; i < 50; i++ {
 		cs.Step(Serial{})
 	}

@@ -77,7 +77,7 @@ func TestHardenedOffBitIdentical(t *testing.T) {
 	})
 
 	t.Run("live", func(t *testing.T) {
-		ls := NewLive(m, vivaldi.Config{}, 42, pool)
+		ls := NewLiveNet(m, vivaldi.Config{}, 42, pool, LiveNetConfig{})
 		for tick := 0; tick < 20; tick++ {
 			ls.Step(pool)
 		}

@@ -85,14 +85,10 @@ type LiveNetConfig struct {
 	ReorderDelay time.Duration
 }
 
-// NewLive boots a live-backend population over m: N daemon nodes on a
+// NewLiveNet boots a live-backend population over m: N daemon nodes on a
 // virtual UDP network realising the substrate's RTTs, wired with the same
-// spring structure the in-memory system would use at this seed.
-func NewLive(m latency.Substrate, cfg vivaldi.Config, seed int64, sh Sharder) CoordSystem {
-	return NewLiveNet(m, cfg, seed, sh, LiveNetConfig{})
-}
-
-// NewLiveNet is NewLive with explicit network fault injection.
+// spring structure the in-memory system would use at this seed, with the
+// network faults nc asks for (the zero value is a perfect network).
 func NewLiveNet(m latency.Substrate, cfg vivaldi.Config, seed int64, sh Sharder, nc LiveNetConfig) CoordSystem {
 	cfg = cfg.Resolved()
 	n := m.Size()
@@ -205,6 +201,7 @@ func (ls *liveSystem) Space() coordspace.Space      { return ls.cfg.Space }
 func (ls *liveSystem) Substrate() latency.Substrate { return ls.m }
 func (ls *liveSystem) EligibleAttacker(i int) bool  { return true }
 func (ls *liveSystem) Evaluable(i int) bool         { return true }
+func (ls *liveSystem) Clone() CoordSystem           { return nil }
 
 // Step advances the live network by one tick interval of virtual time —
 // the barrier that replaces the in-memory backend's closed-form sweep —

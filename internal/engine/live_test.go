@@ -284,7 +284,7 @@ func TestSupportsLive(t *testing.T) {
 func TestLivePartitionTimesOut(t *testing.T) {
 	sc := liveScale
 	m := BaseMatrix(sc)
-	cs := NewLive(m, vivaldi.Config{}, 7, Serial{})
+	cs := NewLiveNet(m, vivaldi.Config{}, 7, Serial{}, LiveNetConfig{})
 	ls := cs.(*liveSystem)
 	for i := 0; i < 20; i++ {
 		cs.Step(Serial{})

@@ -15,14 +15,10 @@ type npsAdapter struct {
 	sys *nps.System
 }
 
-// NewNPS wraps a fresh NPS deployment over m in the engine interface.
-func NewNPS(m latency.Substrate, cfg nps.Config, seed int64) CoordSystem {
-	return &npsAdapter{sys: nps.NewSystem(m, cfg, seed)}
-}
-
-// NewNPSSharded is NewNPS with construction sharded across sh (per-node
-// RNG stream derivation fans out; see nps.NewSystemSharded). Construction
-// is bit-identical for any worker count, like every sharded engine path.
+// NewNPSSharded wraps a fresh NPS deployment over m in the engine
+// interface, its construction sharded across sh (per-node RNG stream
+// derivation fans out; see nps.NewSystemSharded) — bit-identical for any
+// worker count, like every sharded engine path.
 func NewNPSSharded(m latency.Substrate, cfg nps.Config, seed int64, sh Sharder) CoordSystem {
 	return &npsAdapter{sys: nps.NewSystemSharded(m, cfg, seed, sh)}
 }
@@ -34,6 +30,7 @@ func (a *npsAdapter) Substrate() latency.Substrate { return a.sys.Substrate() }
 func (a *npsAdapter) Step(sh Sharder)              { a.sys.StepParallel(sh) }
 func (a *npsAdapter) EligibleAttacker(i int) bool  { return !a.sys.IsLandmark(i) }
 func (a *npsAdapter) Evaluable(i int) bool         { return !a.sys.IsLandmark(i) }
+func (a *npsAdapter) Clone() CoordSystem           { return &npsAdapter{sys: a.sys.Clone()} }
 
 func (a *npsAdapter) Layer(i int) int { return a.sys.Layer(i) }
 func (a *npsAdapter) Layers() int     { return a.sys.Config().Layers }

@@ -63,15 +63,22 @@ type runOutcome struct {
 // RunScenario executes a registered scenario at the given scale on the
 // pool and reduces the outcomes to figure series.
 //
-// Execution plan: the scenario's series expand to their distinct RunSpecs
-// (identical specs dedupe, so a clean reference shared by several series
-// simulates once); every (run, repetition) pair is an independent unit
-// with seeds derived from the scale's root seed; units execute across the
-// pool, each running its system through the sharded tick loop. Results
-// are bit-identical for any worker count: units write disjoint slots and
-// are reduced in declaration order, and everything inside a unit is
-// deterministic by the engine's sharding contract.
+// Execution plan (plan.go): the scenario's series expand to their distinct
+// RunSpecs (identical specs dedupe, so a clean reference shared by several
+// series simulates once); every (run, repetition) pair is an independent
+// unit with seeds derived from the scale's root seed; units whose runs
+// differ only in what happens from the injection barrier on form a group
+// that builds and converges one system, and each member continues from a
+// copy of it. Units execute across the pool, each running its system
+// through the sharded tick loop. Results are bit-identical for any worker
+// count and any execution order: a copy continues exactly as the original
+// would have, units write disjoint slots and are reduced in declaration
+// order, and everything inside a unit is deterministic by the engine's
+// sharding contract. Nothing outlives the call.
 func RunScenario(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -93,58 +100,52 @@ func RunScenario(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
 		return res, nil
 	}
 
-	// Expand series into distinct (system, run) units, in first-seen
-	// order. The system is part of the key because a series may override
-	// the scenario's system (overlay figures): the same RunSpec on two
-	// systems is two different simulations, while identical specs on the
-	// same system still dedupe (a clean reference shared by several series
-	// simulates once).
-	type runKey struct {
-		kind SystemKind
-		run  RunSpec
-	}
-	var order []runKey
-	index := map[runKey]int{}
-	for _, s := range spec.Series {
-		kind := spec.EffectiveSystem(s)
-		for _, r := range s.Runs {
-			k := runKey{kind, r}
-			if _, ok := index[k]; !ok {
-				index[k] = len(order)
-				order = append(order, k)
-			}
-		}
-	}
-	reps := sc.Reps
-	if reps < 1 {
-		reps = 1
-	}
-
-	// One unit per (run, repetition); run-major layout.
-	type job struct{ run, rep int }
-	jobs := make([]job, 0, len(order)*reps)
-	for ri := range order {
-		for rep := 0; rep < reps; rep++ {
-			jobs = append(jobs, job{ri, rep})
-		}
-	}
-	units := make([]unitResult, len(jobs))
+	p := newPlan(spec, sc)
+	units := make([]unitResult, len(p.runs)*p.reps)
 	// Divide the pool between the unit lane and each unit's tick loop:
 	// one unit gets the full width for its shards, many units split it.
-	tickPool := pool.Split(len(jobs))
-	pool.RunUnits(len(jobs), func(k int) {
-		j := jobs[k]
-		units[k] = runUnit(order[j.run].kind, order[j.run].run, sc, j.rep, tickPool)
+	tickPool := pool.Split(len(units))
+	peers := p.peerSets(sc)
+	q := newUnitQueue(p)
+	converge := func(u int) (CoordSystem, error) {
+		k := p.runs[u/p.reps]
+		return convergeUnit(k.kind, cleanPhase(k.run), sc, u%p.reps, tickPool)
+	}
+	pool.RunUnits(len(units), func(int) {
+		u, from, err := q.next(converge)
+		if k := p.runs[u/p.reps]; err != nil {
+			units[u] = unitResult{err: err}
+		} else {
+			units[u] = runUnit(k.kind, k.run, sc, u%p.reps, tickPool, peers[k.run.ResolveNodes(sc)], from)
+		}
 	})
+	return p.reduce(spec, sc, units)
+}
+
+// peerSets builds the evaluation peer table of every population size the
+// plan simulates — a pure function of (size, scale) and immutable, so one
+// table per size serves every unit of the scenario.
+func (p *plan) peerSets(sc Scale) map[int][][]int {
+	peers := map[int][][]int{}
+	for _, k := range p.runs {
+		if n := k.run.ResolveNodes(sc); peers[n] == nil {
+			peers[n] = metrics.PeerSets(n, sc.EvalPeers, randx.DeriveSeed(sc.Seed, "eval-peers", n))
+		}
+	}
+	return peers
+}
+
+// reduce folds the plan's unit results (unit u = run·reps + rep) into the
+// scenario's figure series, in declaration order.
+func (p *plan) reduce(spec ScenarioSpec, sc Scale, units []unitResult) (*Result, error) {
 	for _, u := range units {
 		if u.err != nil {
 			return nil, fmt.Errorf("engine: scenario %s: %w", spec.Name, u.err)
 		}
 	}
-
-	outs := make([]runOutcome, len(order))
-	for ri := range order {
-		outs[ri] = aggregate(units[ri*reps : (ri+1)*reps])
+	outs := make([]runOutcome, len(p.runs))
+	for ri := range outs {
+		outs[ri] = aggregate(units[ri*p.reps : (ri+1)*p.reps])
 	}
 
 	// Reduce to figure series.
@@ -153,7 +154,7 @@ func RunScenario(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
 		kind := spec.EffectiveSystem(s)
 		switch spec.Output {
 		case OutRatioVsTime, OutMeanVsTime, OutTargetVsTime:
-			o := &outs[index[runKey{kind, s.Runs[0]}]]
+			o := &outs[p.index[runKey{kind, s.Runs[0]}]]
 			ser := Series{Label: s.Label}
 			for k, tick := range o.ticks {
 				switch spec.Output {
@@ -169,7 +170,7 @@ func RunScenario(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
 			noteRun(res, kind, s.Label, o)
 
 		case OutFinalCDF:
-			o := &outs[index[runKey{kind, s.Runs[0]}]]
+			o := &outs[p.index[runKey{kind, s.Runs[0]}]]
 			vals := o.finals
 			switch s.Select {
 			case SelectDeepestLayer:
@@ -183,7 +184,7 @@ func RunScenario(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
 		case OutFinalVsX, OutRatioVsX, OutFilterRatioVsX:
 			ser := Series{Label: s.Label}
 			for _, r := range s.Runs {
-				o := &outs[index[runKey{kind, r}]]
+				o := &outs[p.index[runKey{kind, r}]]
 				switch spec.Output {
 				case OutFinalVsX:
 					ser.Add(r.XValue(sc), o.finalMean)
@@ -198,7 +199,7 @@ func RunScenario(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
 			// plotted y (clean error, random baseline, filter counts) are
 			// part of the reproducible record.
 			for _, r := range s.Runs {
-				noteRun(res, kind, fmt.Sprintf("%s x=%g", s.Label, r.XValue(sc)), &outs[index[runKey{kind, r}]])
+				noteRun(res, kind, fmt.Sprintf("%s x=%g", s.Label, r.XValue(sc)), &outs[p.index[runKey{kind, r}]])
 			}
 		}
 	}
@@ -317,10 +318,10 @@ func buildSystem(kind SystemKind, r RunSpec, sc Scale, m latency.Substrate, seed
 	return nil, fmt.Errorf("engine: unknown system %q", kind)
 }
 
-// runUnit executes one repetition of one RunSpec: build, converge, inject,
-// keep running, measure. All randomness derives from the scale's root
-// seed, the run's population and the repetition index.
-func runUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool) unitResult {
+// buildUnit resolves a unit's substrate and constructs its system. All
+// randomness derives from the scale's root seed, the run's population and
+// the repetition index.
+func buildUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool) (CoordSystem, error) {
 	nodes := r.ResolveNodes(sc)
 	backend, _ := ResolveSubstrate(r, sc)
 	var m latency.Substrate
@@ -340,18 +341,36 @@ func runUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool) unitResult
 		bigger.Nodes = nodes
 		m = BaseSubstrate(bigger, backend, tp)
 	}
-	peers := metrics.PeerSets(m.Size(), sc.EvalPeers, randx.DeriveSeed(sc.Seed, "eval-peers", nodes))
-	repSeed := randx.DeriveSeed(sc.Seed, string(kind)+"-rep", rep)
+	return buildSystem(kind, r, sc, m, unitSeed(kind, sc, rep), tp)
+}
 
-	cs, err := buildSystem(kind, r, sc, m, repSeed, tp)
+// unitSeed is the seed every stream of one repetition derives from.
+func unitSeed(kind SystemKind, sc Scale, rep int) int64 {
+	return randx.DeriveSeed(sc.Seed, string(kind)+"-rep", rep)
+}
+
+// convergeUnit builds a unit's system and runs its clean phase, up to the
+// injection barrier — the part of a forkable run its whole group shares.
+func convergeUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool) (CoordSystem, error) {
+	cs, err := buildUnit(kind, r, sc, rep, tp)
 	if err != nil {
-		return unitResult{err: err}
+		return nil, err
 	}
+	for t := convergeLen(kind, sc); t > 0; t-- {
+		cs.Step(tp)
+	}
+	return cs, nil
+}
 
+// runUnit executes one repetition of one RunSpec: build, converge, inject,
+// keep running, measure. A unit of a group starts at the injection barrier
+// instead, on from — its group's converged system or a copy of it. peers
+// is the evaluation peer table of the run's population size.
+func runUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool, peers [][]int, from CoordSystem) unitResult {
 	// Pacing: Vivaldi ticks vs NPS positioning rounds.
-	converge, attack, every := sc.VivaldiConvergeTicks, sc.VivaldiAttackTicks, sc.MeasureEvery
+	converge, attack, every := convergeLen(kind, sc), sc.VivaldiAttackTicks, sc.MeasureEvery
 	if kind == SystemNPS {
-		converge, attack, every = sc.NPSConvergeRounds, sc.NPSAttackRounds, 1
+		attack, every = sc.NPSAttackRounds, 1
 	}
 	injectAt := converge
 	start := converge
@@ -362,6 +381,16 @@ func runUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool) unitResult
 		start = 0
 	}
 	total := converge + attack
+
+	cs, cur := from, converge
+	if cs == nil {
+		var err error
+		if cs, err = buildUnit(kind, r, sc, rep, tp); err != nil {
+			return unitResult{err: err}
+		}
+		cur = 0
+	}
+	nodes, m, repSeed := r.ResolveNodes(sc), cs.Substrate(), unitSeed(kind, sc, rep)
 
 	exclude := func(i int) bool {
 		if !cs.EligibleAttacker(i) {
@@ -399,7 +428,6 @@ func runUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool) unitResult
 		return cs.Evaluable(i) && !malSet[i] && !camp.ScheduledAttacker(i)
 	}
 
-	cur := 0
 	advanceTo := func(p int) error {
 		if !injected && p >= injectAt {
 			for cur < injectAt {

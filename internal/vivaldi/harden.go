@@ -3,6 +3,7 @@ package vivaldi
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/coordspace"
 	"repro/internal/metrics"
@@ -178,6 +179,22 @@ func newHardenState(h Hardening, space coordspace.Space, neighbors [][]int) *har
 		hs.origin = coordspace.Coord{V: make([]float64, space.Dims), H: space.MinHeight}
 	}
 	return hs
+}
+
+// clone copies the rings and adjustment terms, shares what construction
+// fixed (springBase, origin) and gives the copy its own median scratch —
+// two populations stepping on different goroutines must not meet there.
+func (hs *hardenState) clone() *hardenState {
+	c := *hs
+	c.lfSamples = slices.Clone(hs.lfSamples)
+	c.lfCount = slices.Clone(hs.lfCount)
+	c.lfPos = slices.Clone(hs.lfPos)
+	c.lfTick = slices.Clone(hs.lfTick)
+	c.medBuf = make([]float64, len(hs.medBuf))
+	c.adjSamples = slices.Clone(hs.adjSamples)
+	c.adjPos = slices.Clone(hs.adjPos)
+	c.adj = slices.Clone(hs.adj)
+	return &c
 }
 
 // filterRTT pushes a measured RTT into node i's ring for spring k and

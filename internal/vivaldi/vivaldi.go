@@ -20,6 +20,7 @@ package vivaldi
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/coordspace"
 	"repro/internal/latency"
@@ -313,6 +314,7 @@ type System struct {
 	neighbors [][]int
 	taps      []Tap
 	rngs      []*rand.Rand
+	srcs      []rand.Source // rngs[i]'s source, kept so Clone can copy the stream
 	tick      int
 	cuts      []linkCut // active partitions (usually none)
 	cutSeq    int
@@ -335,11 +337,11 @@ func NewSystem(m latency.Substrate, cfg Config, seed int64) *System {
 	return NewSystemSharded(m, cfg, seed, nil)
 }
 
-// NewSystemSharded is NewSystem with the neighbour selection sharded
-// across sh (nil = serial). Every node draws its spring set from its own
-// derived RNG stream, so construction is bit-identical to the serial form
-// for any worker count — worth using at 5k+ nodes, where spring selection
-// is the dominant startup cost after substrate generation.
+// NewSystemSharded is NewSystem with stream seeding and neighbour selection
+// sharded across sh (nil = serial). Every node's update stream and spring
+// set derive from (seed, node id) alone, so construction is bit-identical
+// to the serial form for any worker count — worth using at 5k+ nodes, where
+// the two are the dominant startup cost after substrate generation.
 func NewSystemSharded(m latency.Substrate, cfg Config, seed int64, sh Sharder) *System {
 	cfg = cfg.withDefaults()
 	n := m.Size()
@@ -350,11 +352,18 @@ func NewSystemSharded(m latency.Substrate, cfg Config, seed int64, sh Sharder) *
 		errs:  make([]float64, n),
 		taps:  make([]Tap, n),
 		rngs:  make([]*rand.Rand, n),
+		srcs:  make([]rand.Source, n),
 	}
-	for i := 0; i < n; i++ {
-		s.rngs[i] = randx.NewDerived(seed, "vivaldi-node", i)
-		s.errs[i] = cfg.InitialError
+	if sh == nil {
+		sh = serialSharder{}
 	}
+	sh.ForEach(n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.srcs[i] = rand.NewSource(randx.DeriveSeed(seed, "vivaldi-node", i))
+			s.rngs[i] = rand.New(s.srcs[i])
+			s.errs[i] = cfg.InitialError
+		}
+	})
 	s.neighbors = NeighborSets(m, cfg, seed, sh)
 	if cfg.Harden.Enabled() {
 		if err := cfg.Harden.Validate(); err != nil {
@@ -363,6 +372,41 @@ func NewSystemSharded(m latency.Substrate, cfg Config, seed int64, sh Sharder) *
 		s.hard = newHardenState(cfg.Harden, cfg.Space, s.neighbors)
 	}
 	return s
+}
+
+// Clone returns an independent copy of the population at its current tick
+// that continues bit-identically. What ticks mutate is copied (coordinates,
+// error estimates, every node's stream mid-sequence, tick and cut
+// counters, hardening rings); what construction fixed is shared (substrate,
+// spring sets, the Config and with it any SampleGuard); the per-tick
+// scratch is rebuilt on the copy's first tick, because its closures
+// capture the receiver. Taps carry private mutable state this package
+// cannot copy and a partition's masks belong to whoever applied it, so
+// Clone panics unless both are absent.
+func (s *System) Clone() *System {
+	if len(s.cuts) != 0 {
+		panic("vivaldi: Clone with a partition active")
+	}
+	n := s.Size()
+	c := *s
+	c.store = coordspace.NewStore(s.cfg.Space, n)
+	c.store.CopyFrom(s.store)
+	c.errs = slices.Clone(s.errs)
+	c.taps = make([]Tap, n)
+	c.rngs = make([]*rand.Rand, n)
+	c.srcs = make([]rand.Source, n)
+	for i := range c.rngs {
+		if s.taps[i] != nil {
+			panic("vivaldi: Clone with a tap installed")
+		}
+		c.srcs[i] = randx.CopySource(s.srcs[i])
+		c.rngs[i] = rand.New(c.srcs[i])
+	}
+	c.cuts, c.par = nil, nil
+	if s.hard != nil {
+		c.hard = s.hard.clone()
+	}
+	return &c
 }
 
 // NeighborSets builds the paper's spring structure for every node of m —

@@ -333,3 +333,43 @@ func TestDisorderStyleTapRaisesError(t *testing.T) {
 		t.Fatalf("50%% liars: error %v vs clean %v — attack path ineffective", attackedErr, cleanErr)
 	}
 }
+
+// TestCloneRefusesTapsAndCuts: Clone is defined at a clean barrier only —
+// a tap's private state cannot be copied and a partition's masks belong to
+// whoever applied it. After the tap is removed and the cut healed it
+// works, and the two sides' partitions are then independent.
+func TestCloneRefusesTapsAndCuts(t *testing.T) {
+	m := latency.GenerateKingLike(latency.DefaultKingLike(40), 3)
+	s := NewSystem(m, Config{}, 2)
+	s.Run(5)
+	mustPanic := func(what string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Clone with %s did not panic", what)
+			}
+		}()
+		s.Clone()
+	}
+	s.SetTap(3, shortenTap{})
+	mustPanic("a tap installed")
+	s.SetTap(3, nil)
+
+	half := make([]bool, 40)
+	rest := make([]bool, 40)
+	for i := range half {
+		half[i], rest[i] = i < 20, i >= 20
+	}
+	id := s.ApplyPartition(half, rest)
+	mustPanic("a partition active")
+	s.HealPartition(id)
+
+	c := s.Clone()
+	c.ApplyPartition(half, rest)
+	if len(s.cuts) != 0 {
+		t.Fatal("a partition applied to the clone reached the original")
+	}
+	if c.Tick() != s.Tick() {
+		t.Fatalf("clone tick %d, original %d", c.Tick(), s.Tick())
+	}
+}
