@@ -160,6 +160,34 @@ func BenchmarkTickHardened1740(b *testing.B) {
 	}
 }
 
+// BenchmarkTickAttacked1740 measures one sharded Vivaldi tick at the
+// paper's population with 30 % of the nodes running the combined attack
+// (disorder, repulsion, colluding isolation in equal shares) — the tick
+// every figure spends most of its time in. Taps write their lies into
+// scratch they own and the tick copies each into a flat per-prober buffer,
+// so its allocs/op rides the same bench-guard ceiling as the clean tick.
+// The warm-up lets every victim's exile destination be agreed.
+func BenchmarkTickAttacked1740(b *testing.B) {
+	m := benchMatrix(1740)
+	cs := engine.NewVivaldiSharded(m, vivaldi.Config{}, 1, nil)
+	pool := engine.NewPool(8)
+	for i := 0; i < 20; i++ {
+		cs.Step(pool)
+	}
+	mal := core.SelectMalicious(cs.Size(), 0.3, nil, 1)
+	if _, err := cs.Inject(engine.AttackSpec{Kind: engine.AttackCombined}, mal, 1); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		cs.Step(pool)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cs.Step(pool)
+	}
+}
+
 // BenchmarkMeasure5k measures the sharded flat-store measurement pass at
 // 5000 nodes with 64 evaluation peers each, into a reused output buffer —
 // the per-sample cost of the engine's accuracy series at scale.

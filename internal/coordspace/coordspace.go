@@ -105,14 +105,29 @@ func (s Space) Zero() Coord {
 // (MinHeight, scale]. This is the paper's random-coordinate baseline
 // (§5.1, scale 50000).
 func (s Space) Random(rng *rand.Rand, scale float64) Coord {
-	c := Coord{V: make([]float64, s.Dims)}
-	for i := range c.V {
-		c.V[i] = (rng.Float64()*2 - 1) * scale
+	var c Coord
+	s.RandomInto(&c, rng, scale)
+	return c
+}
+
+// RandomInto is Random written into dst: the same draws in the same order
+// (components, then height). dst is reused when its vector has the space's
+// dimensionality, so a caller that keeps it between calls allocates once.
+func (s Space) RandomInto(dst *Coord, rng *rand.Rand, scale float64) {
+	s.size(dst)
+	for i := range dst.V {
+		dst.V[i] = (rng.Float64()*2 - 1) * scale
 	}
 	if s.HasHeight {
-		c.H = s.MinHeight + rng.Float64()*math.Max(scale-s.MinHeight, 0)
+		dst.H = s.MinHeight + rng.Float64()*math.Max(scale-s.MinHeight, 0)
 	}
-	return c
+}
+
+// size replaces a dst of the wrong dimensionality with a fresh coordinate.
+func (s Space) size(dst *Coord) {
+	if len(dst.V) != s.Dims {
+		*dst = Coord{V: make([]float64, s.Dims)}
+	}
 }
 
 // Dist returns the predicted distance between a and b: the Euclidean norm
@@ -202,17 +217,24 @@ func (s Space) Midpoint(a, b Coord) Coord {
 // Toward returns the point at parameter t along the segment from a to b
 // (t=0 yields a, t=1 yields b; t may exceed [0,1] to extrapolate).
 func (s Space) Toward(a, b Coord, t float64) Coord {
-	c := Coord{V: make([]float64, s.Dims)}
+	var c Coord
+	s.TowardInto(&c, a, b, t)
+	return c
+}
+
+// TowardInto is Toward written into dst, sized like RandomInto's. dst may
+// alias a or b: every component is read before it is written.
+func (s Space) TowardInto(dst *Coord, a, b Coord, t float64) {
+	s.size(dst)
 	for i := 0; i < s.Dims; i++ {
-		c.V[i] = a.V[i] + t*(b.V[i]-a.V[i])
+		dst.V[i] = a.V[i] + t*(b.V[i]-a.V[i])
 	}
 	if s.HasHeight {
-		c.H = a.H + t*(b.H-a.H)
-		if c.H < s.MinHeight {
-			c.H = s.MinHeight
+		dst.H = a.H + t*(b.H-a.H)
+		if dst.H < s.MinHeight {
+			dst.H = s.MinHeight
 		}
 	}
-	return c
 }
 
 // Opposite returns the reflection of b through a: the point at distance
@@ -222,9 +244,18 @@ func (s Space) Opposite(a, b Coord) Coord {
 	return s.Toward(b, a, 2)
 }
 
-// NormOf returns the distance of c from the origin.
+// NormOf returns the distance of c from the origin: Dist(c, Zero()), floor
+// height of the origin included, without materialising the origin.
 func (s Space) NormOf(c Coord) float64 {
-	return s.Dist(c, s.Zero())
+	sum := 0.0
+	for i := 0; i < s.Dims; i++ {
+		sum += c.V[i] * c.V[i]
+	}
+	d := math.Sqrt(sum)
+	if s.HasHeight {
+		d += c.H + s.MinHeight
+	}
+	return d
 }
 
 // Compatible reports whether c has the right shape for the space.

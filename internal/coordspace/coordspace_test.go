@@ -277,3 +277,94 @@ func TestStringRendering(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 }
+
+// TestIntoFormsMatch pins the in-place forms against the allocating ones
+// they back: same draws consumed, same bits produced, whether the scratch
+// is fresh, reused or (TowardInto) aliases an input.
+func TestIntoFormsMatch(t *testing.T) {
+	sameBits := func(a, b Coord) bool {
+		if len(a.V) != len(b.V) || math.Float64bits(a.H) != math.Float64bits(b.H) {
+			return false
+		}
+		for i := range a.V {
+			if math.Float64bits(a.V[i]) != math.Float64bits(b.V[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, s := range []Space{Euclidean(2), Euclidean(5), EuclideanHeight(2)} {
+		var scratch Coord // reused across seeds, like a tap's
+		for seed := int64(0); seed < 64; seed++ {
+			ra, rb := randx.New(seed), randx.New(seed)
+			want := s.Random(ra, 50000)
+			s.RandomInto(&scratch, rb, 50000)
+			if !sameBits(want, scratch) {
+				t.Fatalf("%s seed %d: RandomInto %v, Random %v", s.Name(), seed, scratch, want)
+			}
+			if ra.Int63() != rb.Int63() {
+				t.Fatalf("%s seed %d: RandomInto consumed different draws", s.Name(), seed)
+			}
+
+			a, b := s.Random(ra, 300), s.Random(ra, 300)
+			for _, tt := range []float64{0, 0.25, 1, 2, -3} {
+				want := s.Toward(a, b, tt)
+				s.TowardInto(&scratch, a, b, tt)
+				if !sameBits(want, scratch) {
+					t.Fatalf("%s seed %d t=%v: TowardInto %v, Toward %v", s.Name(), seed, tt, scratch, want)
+				}
+				alias := a.Clone()
+				s.TowardInto(&alias, alias, b, tt)
+				if !sameBits(want, alias) {
+					t.Fatalf("%s seed %d t=%v: TowardInto aliasing a: %v, want %v", s.Name(), seed, tt, alias, want)
+				}
+			}
+		}
+	}
+	// A scratch that held a height keeps none in a height-less space.
+	stale := Coord{V: []float64{1, 2, 3}, H: 7} // wrong length: replaced whole
+	Euclidean(2).RandomInto(&stale, randx.New(1), 10)
+	if len(stale.V) != 2 || stale.H != 0 {
+		t.Fatalf("RandomInto left a stale shape: %v (len %d)", stale, len(stale.V))
+	}
+}
+
+// TestNormOfMatchesDist: the in-place norm is Dist(c, Zero()) to the bit,
+// floor height included, on ordinary, huge, denormal and non-finite input.
+func TestNormOfMatchesDist(t *testing.T) {
+	denorm := math.SmallestNonzeroFloat64
+	for _, s := range []Space{Euclidean(2), Euclidean(5), EuclideanHeight(2)} {
+		mk := func(x, h float64) Coord {
+			c := Coord{V: make([]float64, s.Dims), H: h}
+			for i := range c.V {
+				c.V[i] = x * float64(i+1)
+				if i%2 == 1 {
+					c.V[i] = -c.V[i]
+				}
+			}
+			return c
+		}
+		cases := []Coord{
+			s.Zero(), mk(3, 4), mk(1e39, 1e39), mk(1e200, 0), mk(denorm, denorm),
+			mk(1e-170, 1e-300), mk(math.Copysign(0, -1), 0), mk(math.Inf(1), 1), mk(math.NaN(), 0), mk(1, math.NaN()),
+		}
+		rng := randx.New(3)
+		for i := 0; i < 200; i++ {
+			cases = append(cases, s.Random(rng, 50000))
+		}
+		for _, c := range cases {
+			got, want := s.NormOf(c), s.Dist(c, s.Zero())
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("%s: NormOf(%v) = %x, Dist(c, Zero()) = %x", s.Name(), c, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+func TestNormOfAllocs(t *testing.T) {
+	s := EuclideanHeight(2)
+	c := s.Random(randx.New(1), 100)
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.NormOf(c) }); allocs != 0 {
+		t.Fatalf("NormOf allocates %.1f times, want 0", allocs)
+	}
+}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/coordspace"
 	"repro/internal/randx"
 	"repro/internal/vivaldi"
@@ -36,8 +34,8 @@ type VivaldiFrogBoil struct {
 
 	drift  float64
 	dir    []float64        // fixed unit drift direction
-	frozen coordspace.Coord // honest coordinate at the first response
-	rng    *rand.Rand
+	frozen coordspace.Coord // honest coordinate at the first response (a copy: views expire)
+	lie    coordspace.Coord // scratch: the claimed coordinate of the current response
 }
 
 // NewVivaldiFrogBoil returns a frog-boiling tap for the given owner node.
@@ -58,7 +56,6 @@ func NewVivaldiFrogBoil(owner int, space coordspace.Space, seed int64) *VivaldiF
 		StepMS:   100,
 		MaxDrift: 50000,
 		dir:      dir,
-		rng:      rng,
 	}
 }
 
@@ -68,18 +65,18 @@ func (a *VivaldiFrogBoil) Respond(prober int, honest vivaldi.ProbeResponse, view
 		// Freeze the honest story at first contact: later responses drift
 		// from here, not from wherever the real coordinate wanders.
 		a.frozen = honest.Coord.Clone()
+		a.lie = a.frozen.Clone()
 	}
 	if a.drift < a.MaxDrift {
 		a.drift += a.StepMS
 	}
-	claimed := a.frozen.Clone()
-	for i := range claimed.V {
-		claimed.V[i] += a.drift * a.dir[i]
+	for i := range a.lie.V {
+		a.lie.V[i] = a.frozen.V[i] + a.drift*a.dir[i]
 	}
 	// The reported RTT grows by exactly the claimed displacement, so the
 	// (coordinate, RTT) pair stays self-consistent at every step.
 	return vivaldi.ProbeResponse{
-		Coord: claimed,
+		Coord: a.lie,
 		Error: honest.Error,
 		RTT:   honest.RTT + a.drift,
 	}

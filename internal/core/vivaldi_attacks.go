@@ -24,6 +24,7 @@ type VivaldiDisorder struct {
 	MinDelay   float64 // ms (default 100)
 	MaxDelay   float64 // ms (default 1000)
 	rng        *rand.Rand
+	lie        coordspace.Coord // scratch: the coordinate of the current response
 }
 
 // NewVivaldiDisorder returns a disorder tap for the given owner node, with
@@ -40,8 +41,9 @@ func NewVivaldiDisorder(owner int, seed int64) *VivaldiDisorder {
 
 // Respond implements vivaldi.Tap.
 func (a *VivaldiDisorder) Respond(prober int, honest vivaldi.ProbeResponse, view vivaldi.View) vivaldi.ProbeResponse {
+	view.Space().RandomInto(&a.lie, a.rng, a.CoordScale)
 	return vivaldi.ProbeResponse{
-		Coord: view.Space().Random(a.rng, a.CoordScale),
+		Coord: a.lie,
 		Error: a.LowError,
 		RTT:   honest.RTT + randx.Uniform(a.rng, a.MinDelay, a.MaxDelay),
 	}
@@ -60,7 +62,7 @@ type VivaldiRepulsion struct {
 	LowError      float64          // reported error estimate (default 0.01)
 	DeltaEstimate float64          // attacker's estimate of δ (default Cc = 0.25)
 	Victims       map[int]bool     // nil = attack every prober (fig 5); else only members (fig 7)
-	rng           *rand.Rand
+	lie           coordspace.Coord // scratch: the mirror point of the current response
 }
 
 // NewVivaldiRepulsion returns a repulsion tap whose Xtarget is a random
@@ -78,7 +80,6 @@ func NewVivaldiRepulsion(owner int, space coordspace.Space, scale float64, victi
 		LowError:      0.01,
 		DeltaEstimate: 0.25,
 		Victims:       victims,
-		rng:           rng,
 	}
 }
 
@@ -87,12 +88,13 @@ func (a *VivaldiRepulsion) Respond(prober int, honest vivaldi.ProbeResponse, vie
 	if a.Victims != nil && !a.Victims[prober] {
 		return honest
 	}
-	return repelToward(view, prober, a.Target, a.DeltaEstimate, a.LowError, honest, a.rng)
+	return repelToward(&a.lie, view, prober, a.Target, a.DeltaEstimate, a.LowError, honest)
 }
 
 // repelToward builds the forged response that makes `prober` move onto
-// dest under its own Vivaldi update rule (see VivaldiRepulsion).
-func repelToward(view vivaldi.View, prober int, dest coordspace.Coord, delta, lowErr float64, honest vivaldi.ProbeResponse, rng *rand.Rand) vivaldi.ProbeResponse {
+// dest under its own Vivaldi update rule (see VivaldiRepulsion), the
+// claimed coordinate written into lie, the calling tap's scratch.
+func repelToward(lie *coordspace.Coord, view vivaldi.View, prober int, dest coordspace.Coord, delta, lowErr float64, honest vivaldi.ProbeResponse) vivaldi.ProbeResponse {
 	space := view.Space()
 	current := view.Coord(prober)
 	d := space.Dist(dest, current)
@@ -103,13 +105,13 @@ func repelToward(view vivaldi.View, prober int, dest coordspace.Coord, delta, lo
 	}
 	// Mirror of the destination through the victim: moving *away* from the
 	// claimed coordinate is moving *toward* the destination.
-	claimed := space.Opposite(current, dest)
+	space.TowardInto(lie, dest, current, 2)
 	needed := d/delta + d
 	rtt := honest.RTT
 	if needed > rtt {
 		rtt = needed // delay the probe up to the needed RTT
 	}
-	return vivaldi.ProbeResponse{Coord: claimed, Error: lowErr, RTT: rtt}
+	return vivaldi.ProbeResponse{Coord: *lie, Error: lowErr, RTT: rtt}
 }
 
 // Conspiracy is the shared state of a colluding Vivaldi attack (§5.3.3):
@@ -209,17 +211,17 @@ type VivaldiColludeRepel struct {
 	C             *Conspiracy
 	LowError      float64
 	DeltaEstimate float64
-	rng           *rand.Rand
+	lie           coordspace.Coord // scratch: the mirror point of the current response
 }
 
-// NewVivaldiColludeRepel returns a strategy-1 tap for owner.
+// NewVivaldiColludeRepel returns a strategy-1 tap for owner (seed is
+// unused: what the tap says is agreed by the conspiracy, not drawn).
 func NewVivaldiColludeRepel(owner int, c *Conspiracy, seed int64) *VivaldiColludeRepel {
 	return &VivaldiColludeRepel{
 		Owner:         owner,
 		C:             c,
 		LowError:      0.01,
 		DeltaEstimate: 0.25,
-		rng:           randx.NewDerived(seed, "collude-repel", owner),
 	}
 }
 
@@ -230,7 +232,7 @@ func (a *VivaldiColludeRepel) Respond(prober int, honest vivaldi.ProbeResponse, 
 		return honest
 	}
 	dest := a.C.DestinationFor(prober, view)
-	return repelToward(view, prober, dest, a.DeltaEstimate, a.LowError, honest, a.rng)
+	return repelToward(&a.lie, view, prober, dest, a.DeltaEstimate, a.LowError, honest)
 }
 
 // VivaldiColludeLure is strategy 2 of the colluding isolation attack
@@ -244,10 +246,11 @@ type VivaldiColludeLure struct {
 	LowError      float64
 	DeltaEstimate float64
 	slot          coordspace.Coord // pretend position, fixed per member
-	rng           *rand.Rand
+	lie           coordspace.Coord // scratch: the mirror point told to the target
 }
 
-// NewVivaldiColludeLure returns a strategy-2 tap for owner.
+// NewVivaldiColludeLure returns a strategy-2 tap for owner (seed is
+// unused: its pretend slot comes from the conspiracy's own stream).
 func NewVivaldiColludeLure(owner int, c *Conspiracy, space coordspace.Space, seed int64) *VivaldiColludeLure {
 	return &VivaldiColludeLure{
 		Owner:         owner,
@@ -255,7 +258,6 @@ func NewVivaldiColludeLure(owner int, c *Conspiracy, space coordspace.Space, see
 		LowError:      0.01,
 		DeltaEstimate: 0.25,
 		slot:          c.ClusterSlot(owner, space),
-		rng:           randx.NewDerived(seed, "collude-lure", owner),
 	}
 }
 
@@ -264,7 +266,7 @@ func (a *VivaldiColludeLure) Respond(prober int, honest vivaldi.ProbeResponse, v
 	space := view.Space()
 	if prober == a.C.TargetNode {
 		dest := a.C.LureDestination(space)
-		return repelToward(view, prober, dest, a.DeltaEstimate, a.LowError, honest, a.rng)
+		return repelToward(&a.lie, view, prober, dest, a.DeltaEstimate, a.LowError, honest)
 	}
 	// Everyone else: claim to live at the pretend cluster slot, with an
 	// RTT consistent with that story (delay up to the claimed distance).

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -259,11 +260,28 @@ func (ls *liveSystem) forgeFor(id int) daemon.SimForge {
 		if forged.RTT < hv.RTT {
 			forged.RTT = hv.RTT // delays only; cannot shorten physics
 		}
+		// forged.Coord may be tap scratch: the daemon encodes it on return.
 		honest.Error = forged.Error
 		honest.Height = forged.Coord.H
 		honest.Vec = forged.Coord.V
-		return honest, time.Duration((forged.RTT - hv.RTT) * float64(time.Millisecond))
+		return honest, forgedDelay(forged.RTT - hv.RTT)
 	}
+}
+
+// maxForgedDelay outlasts any probe timeout or run; now+delay cannot wrap.
+const maxForgedDelay = 100 * 365 * 24 * time.Hour
+
+// forgedDelay converts a tap's RTT inflation in ms to the response delay
+// that realises it. It saturates because an out-of-range float→int64
+// conversion is implementation-defined — MinInt64 on amd64, which SendAfter
+// reads as "send now": the largest lie would be the only undelayed one, and
+// not on every architecture. NaN is no inflation.
+func forgedDelay(inflationMS float64) time.Duration {
+	ns := inflationMS * float64(time.Millisecond)
+	if math.IsNaN(ns) {
+		return 0
+	}
+	return time.Duration(min(ns, float64(maxForgedDelay)))
 }
 
 func (ls *liveSystem) Inject(spec AttackSpec, malicious []int, seed int64) (*Injection, error) {
@@ -272,9 +290,10 @@ func (ls *liveSystem) Inject(spec AttackSpec, malicious []int, seed int64) (*Inj
 
 // The vivaldi.View taps consult: coordinates and errors as of the last
 // tick barrier — the attacker's knowledge is what probing the public
-// system would have told it, not instantaneous internal state.
+// system would have told it, not instantaneous internal state. Coord is a
+// view of the barrier store, which only sync writes, between event drains.
 
-func (ls *liveSystem) Coord(i int) coordspace.Coord { return ls.store.CoordAt(i) }
+func (ls *liveSystem) Coord(i int) coordspace.Coord { return ls.store.ViewAt(i) }
 func (ls *liveSystem) LocalError(i int) float64     { return ls.errs[i] }
 func (ls *liveSystem) TrueRTT(i, j int) float64     { return ls.m.RTT(i, j) }
 func (ls *liveSystem) Tick() int                    { return ls.tick }

@@ -6,9 +6,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/vivaldi"
+	"repro/internal/wire"
 )
 
 // liveScale keeps live-backend tests fast: the virtual clock makes the
@@ -362,5 +364,42 @@ func TestResolveBackend(t *testing.T) {
 	}
 	if _, err := ParseExecBackend("bogus"); err == nil {
 		t.Fatal("bogus backend parsed")
+	}
+}
+
+// inflatingTap delays every probe by a fixed number of milliseconds.
+type inflatingTap struct{ ms float64 }
+
+func (a inflatingTap) Respond(prober int, honest vivaldi.ProbeResponse, view vivaldi.View) vivaldi.ProbeResponse {
+	honest.RTT += a.ms
+	return honest
+}
+
+// TestForgedDelaySaturates: an RTT inflation too large for a Duration (or
+// not a number at all) used to convert to MinInt64 on amd64, which the
+// network reads as "send now" — the biggest lie in the system became the
+// only undelayed one. It must instead be held back at least as long as any
+// prober waits, by an amount the scheduler can add to its clock.
+func TestForgedDelaySaturates(t *testing.T) {
+	m := BaseMatrix(liveScale)
+	ls := NewLiveNet(m, vivaldi.Config{}, 3, Serial{}, LiveNetConfig{}).(*liveSystem)
+	defer ls.Close()
+	honest := wire.ProbeResponse{Error: 0.3, Vec: []float64{1, 2}}
+	for _, c := range []struct {
+		ms       float64
+		min, max time.Duration
+	}{
+		{1e3, time.Second, time.Second},
+		{1e13, liveProbeTimeout, math.MaxInt64 / 2},
+		{5e39, liveProbeTimeout, math.MaxInt64 / 2},
+		{math.Inf(1), liveProbeTimeout, math.MaxInt64 / 2},
+		{math.NaN(), 0, 0},
+	} {
+		ls.SetTap(1, inflatingTap{ms: c.ms})
+		_, delay := ls.forgeFor(1)(honest, 0)
+		if delay < c.min || delay > c.max {
+			t.Errorf("inflation of %v ms became a response delay of %v (%d ns), want within [%v, %v]",
+				c.ms, delay, int64(delay), c.min, c.max)
+		}
 	}
 }

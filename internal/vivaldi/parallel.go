@@ -17,12 +17,13 @@ type serialSharder struct{}
 func (serialSharder) ForEach(n int, fn func(shard, lo, hi int)) { fn(0, 0, n) }
 
 // parallelScratch holds the per-tick buffers StepParallel reuses across
-// ticks so a steady-state tick (no taps, no sample guard) allocates
-// nothing: the frozen snapshot is a flat store filled by one memcpy per
-// shard, honest responses alias it through zero-copy views, and the phase
-// closures themselves are built once and re-passed to the sharder.
+// ticks so a steady-state tick, attacked or clean, allocates nothing: the
+// frozen snapshot is a flat store filled by one memcpy per shard, honest
+// responses are zero-copy views of it, forged ones are copied into a second
+// flat store, and the phase closures are built once and re-passed.
 type parallelScratch struct {
 	frozen     *coordspace.Store // coordinates at tick start (flat copy)
+	forged     *coordspace.Store // what a tap told prober i, in slot i; nil until a tapped probe
 	frozenErrs []float64         // error estimates at tick start
 	srcs       []int             // identity indices, for batched lookups
 	targets    []int             // probe target per node (-1 = none)
@@ -47,14 +48,12 @@ type frozenView struct {
 	scratch *parallelScratch
 }
 
-func (v *frozenView) Space() coordspace.Space { return v.s.cfg.Space }
-func (v *frozenView) Coord(i int) coordspace.Coord {
-	return v.scratch.frozen.CoordAt(i)
-}
-func (v *frozenView) LocalError(i int) float64 { return v.scratch.frozenErrs[i] }
-func (v *frozenView) TrueRTT(i, j int) float64 { return v.s.m.RTT(i, j) }
-func (v *frozenView) Tick() int                { return v.s.tick }
-func (v *frozenView) Size() int                { return v.s.Size() }
+func (v *frozenView) Space() coordspace.Space      { return v.s.cfg.Space }
+func (v *frozenView) Coord(i int) coordspace.Coord { return v.scratch.frozen.ViewAt(i) }
+func (v *frozenView) LocalError(i int) float64     { return v.scratch.frozenErrs[i] }
+func (v *frozenView) TrueRTT(i, j int) float64     { return v.s.m.RTT(i, j) }
+func (v *frozenView) Tick() int                    { return v.s.tick }
+func (v *frozenView) Size() int                    { return v.s.Size() }
 
 func (s *System) scratch() *parallelScratch {
 	if s.par != nil {
@@ -157,8 +156,8 @@ func (s *System) scratch() *parallelScratch {
 //     serial sweep in prober order, because taps hold mutable state (their
 //     own RNG streams, conspiracy caches) shared across probers.
 //
-// In steady state (no taps, no sample guard) a tick performs zero heap
-// allocations: see parallelScratch and TestStepParallelSteadyStateAllocs.
+// In steady state a tick, attacked or not, performs zero heap allocations:
+// see parallelScratch and TestStepParallel{SteadyState,Attacked}Allocs.
 func (s *System) StepParallel(sh Sharder) {
 	s.tick++
 	n := s.Size()
@@ -169,19 +168,30 @@ func (s *System) StepParallel(sh Sharder) {
 
 	// Phase 3 (serial, fixed order): forged responses. Taps carry mutable
 	// state shared across probers, so they are consulted exactly once per
-	// probe, in ascending prober order — the same order every run. Honest
-	// inputs are deep-copied here: a tap may retain what it was handed.
+	// probe, in ascending prober order — the same order every run. The
+	// answer may alias the tap's scratch (see Tap), so it is copied at once,
+	// into the prober's slot of the forged store: a node probes once per
+	// tick, one tap may answer many. An answer of the wrong dimensionality
+	// stays as returned, for applyRule to refuse.
 	for i := 0; i < n; i++ {
 		j := sc.targets[i]
 		if j < 0 || s.taps[j] == nil {
 			continue
 		}
 		honest := ProbeResponse{
-			Coord: sc.frozen.CoordAt(j),
+			Coord: sc.frozen.ViewAt(j),
 			Error: sc.frozenErrs[j],
 			RTT:   sc.rtts[i],
 		}
-		sc.resps[i] = consult(s.taps[j], i, honest, sc.view)
+		resp := consult(s.taps[j], i, honest, sc.view)
+		if len(resp.Coord.V) == s.cfg.Space.Dims {
+			if sc.forged == nil {
+				sc.forged = coordspace.NewStore(s.cfg.Space, n)
+			}
+			sc.forged.SetCoordAt(i, resp.Coord)
+			resp.Coord = sc.forged.ViewAt(i)
+		}
+		sc.resps[i] = resp
 	}
 
 	sh.ForEach(n, sc.phase4)

@@ -14,6 +14,10 @@ func newTestRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // same fixed 32-wide shard decomposition, executed inline in shard order.
 type shardedInline struct{}
 
+// ShardedInline lets the external test package (tap_contract_test.go)
+// tick over the same decomposition.
+type ShardedInline = shardedInline
+
 const testShardSize = 32
 
 func (shardedInline) ForEach(n int, fn func(shard, lo, hi int)) {

@@ -118,7 +118,9 @@ func (c Config) Resolved() Config { return c.withDefaults() }
 // ProbeResponse is what a probing node learns from one measurement: the
 // probed node's reported coordinate and error estimate, and the RTT the
 // prober measured (which a malicious responder may have inflated by
-// delaying the probe — it can never be shortened).
+// delaying the probe — it can never be shortened). Inside a tick, Coord
+// is a view of a buffer the tick reuses (see Tap); a response returned by
+// System.Probe owns its coordinate.
 type ProbeResponse struct {
 	Coord coordspace.Coord
 	Error float64
@@ -288,12 +290,23 @@ func (n *Node) Reset() {
 // response and returns what the prober actually observes. The system
 // enforces that a tap cannot report an RTT below the honest one (delays
 // only, §5.3.2).
+//
+// Ownership is release-on-return, copy-to-retain, like a simnet receive
+// handler's packet: honest.Coord and whatever view.Coord returns are
+// read-only views of the tick-start snapshot, valid until Respond returns.
+// A tap that wants one for later copies it (core.VivaldiFrogBoil clones
+// the honest coordinate at first contact and drifts from that copy). The
+// Coord a tap returns may alias its own scratch, the honest view or a fixed
+// field: the caller copies it before it consults any tap again.
 type Tap interface {
 	Respond(prober int, honest ProbeResponse, view View) ProbeResponse
 }
 
 // View is the read-only system state available to taps (an attacker can
-// learn coordinates by probing, so this models public knowledge).
+// learn coordinates by probing, so this models public knowledge) and to
+// sample guards. Inside a tick, Coord returns a view of the tick-start
+// snapshot under Tap's ownership rule: read-only, copy to keep. System
+// itself is the out-of-tick View and returns copies.
 type View interface {
 	Space() coordspace.Space
 	Coord(i int) coordspace.Coord
@@ -686,18 +699,20 @@ func consult(tap Tap, prober int, honest ProbeResponse, view View) ProbeResponse
 // Probe performs one measurement of j by i against the current state and
 // returns what i observed: the true RTT plus j's reported state, passed
 // through j's tap if one is installed. It is the out-of-tick inspection
-// path (tests, demos); ticks resolve their probes against the tick-start
-// snapshot in StepParallel.
+// path (tests, demos), so the coordinate it returns is the caller's own;
+// ticks resolve their probes against the tick-start snapshot in
+// StepParallel.
 func (s *System) Probe(i, j int) ProbeResponse {
-	honest := ProbeResponse{
-		Coord: s.store.CoordAt(j),
+	resp := ProbeResponse{
+		Coord: s.store.ViewAt(j),
 		Error: s.errs[j],
 		RTT:   s.m.RTT(i, j),
 	}
 	if tap := s.taps[j]; tap != nil {
-		return consult(tap, i, honest, s)
+		resp = consult(tap, i, resp, s)
 	}
-	return honest
+	resp.Coord = resp.Coord.Clone() // the caller outlives the view and any tap scratch
+	return resp
 }
 
 // Step runs one simulation tick on the calling goroutine: the inline form

@@ -139,7 +139,12 @@ type VivaldiSystem = vivaldi.System
 // VivaldiProbeResponse is what one Vivaldi measurement reports.
 type VivaldiProbeResponse = vivaldi.ProbeResponse
 
-// VivaldiTap intercepts probe responses (the attack hook).
+// VivaldiTap intercepts probe responses (the attack hook). The coordinates
+// Respond is shown — honest.Coord and whatever view.Coord returns — are
+// read-only views valid until it returns: Clone one to keep it, as the
+// frog-boiling tap does with the honest coordinate at first contact. The
+// coordinate it returns may be the tap's own reused buffer; the system
+// copies it before it consults any tap again.
 type VivaldiTap = vivaldi.Tap
 
 // NewVivaldi builds a Vivaldi population over any latency substrate.
