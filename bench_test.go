@@ -124,7 +124,7 @@ func BenchmarkEngineTickSharded(b *testing.B) {
 
 // BenchmarkTickSharded5k measures one sharded Vivaldi tick at 5000 nodes
 // on 8 workers, steady state (zero heap allocations inline; pool mode
-// adds only goroutine bookkeeping).
+// adds one job record per ForEach call).
 func BenchmarkTickSharded5k(b *testing.B) {
 	m := benchMatrix(5000)
 	cs := engine.NewVivaldiSharded(m, vivaldi.Config{}, 1, nil)

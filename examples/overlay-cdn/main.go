@@ -45,7 +45,7 @@ func main() {
 	conspiracy := vna.NewConspiracy(0, sys.Space(), seed)
 	attackers := vna.SelectMalicious(nodes, 0.30, func(i int) bool { return i < replicas }, seed)
 	for _, id := range attackers {
-		sys.SetTap(id, vna.NewColludingRepelAttack(id, conspiracy, seed))
+		sys.SetTap(id, vna.NewColludingRepelAttack(id, conspiracy))
 	}
 	sys.Run(1500)
 	snap = eng.Publish(sys.Store(), 3300)

@@ -31,7 +31,7 @@ func main() {
 			return vna.NewRepulsionAttack(id, sys.Space(), nil, seed)
 		}},
 		{"colluding isolation", func(sys *vna.VivaldiSystem, id int, c *vna.Conspiracy) vna.VivaldiTap {
-			return vna.NewColludingRepelAttack(id, c, seed)
+			return vna.NewColludingRepelAttack(id, c)
 		}},
 	}
 

@@ -214,9 +214,9 @@ type VivaldiColludeRepel struct {
 	lie           coordspace.Coord // scratch: the mirror point of the current response
 }
 
-// NewVivaldiColludeRepel returns a strategy-1 tap for owner (seed is
-// unused: what the tap says is agreed by the conspiracy, not drawn).
-func NewVivaldiColludeRepel(owner int, c *Conspiracy, seed int64) *VivaldiColludeRepel {
+// NewVivaldiColludeRepel returns a strategy-1 tap for owner. It takes no
+// seed: what the tap says is agreed by the conspiracy, not drawn.
+func NewVivaldiColludeRepel(owner int, c *Conspiracy) *VivaldiColludeRepel {
 	return &VivaldiColludeRepel{
 		Owner:         owner,
 		C:             c,
@@ -249,9 +249,9 @@ type VivaldiColludeLure struct {
 	lie           coordspace.Coord // scratch: the mirror point told to the target
 }
 
-// NewVivaldiColludeLure returns a strategy-2 tap for owner (seed is
-// unused: its pretend slot comes from the conspiracy's own stream).
-func NewVivaldiColludeLure(owner int, c *Conspiracy, space coordspace.Space, seed int64) *VivaldiColludeLure {
+// NewVivaldiColludeLure returns a strategy-2 tap for owner. It takes no
+// seed: its pretend slot comes from the conspiracy's own stream.
+func NewVivaldiColludeLure(owner int, c *Conspiracy, space coordspace.Space) *VivaldiColludeLure {
 	return &VivaldiColludeLure{
 		Owner:         owner,
 		C:             c,

@@ -133,7 +133,7 @@ func TestColludeRepelSparesTarget(t *testing.T) {
 	_, s := smallVivaldi(12, 5)
 	s.Run(100)
 	c := NewConspiracy(0, s.Space(), 5000, 40000, 7)
-	s.SetTap(4, NewVivaldiColludeRepel(4, c, 11))
+	s.SetTap(4, NewVivaldiColludeRepel(4, c))
 	resp := s.Probe(0, 4) // the designated target probes the attacker
 	if resp.RTT != s.TrueRTT(0, 4) {
 		t.Fatal("target got attacked by strategy 1")
@@ -148,7 +148,7 @@ func TestColludeRepelMovesVictimsAwayFromTarget(t *testing.T) {
 	_, s := smallVivaldi(12, 6)
 	s.Run(300)
 	c := NewConspiracy(0, s.Space(), 5000, 40000, 7)
-	s.SetTap(4, NewVivaldiColludeRepel(4, c, 11))
+	s.SetTap(4, NewVivaldiColludeRepel(4, c))
 	before := s.Space().Dist(s.Coord(2), s.Coord(0))
 	sampleOnly(s, 2, 4, 1100) // ~100 samples of the attacker
 	after := s.Space().Dist(s.Coord(2), s.Coord(0))
@@ -161,7 +161,7 @@ func TestColludeLureMovesTargetIntoCluster(t *testing.T) {
 	_, s := smallVivaldi(12, 7)
 	s.Run(300)
 	c := NewConspiracy(2, s.Space(), 5000, 40000, 9)
-	s.SetTap(5, NewVivaldiColludeLure(5, c, s.Space(), 13))
+	s.SetTap(5, NewVivaldiColludeLure(5, c, s.Space()))
 	sampleOnly(s, 2, 5, 1650) // ~150 samples of the attacker
 	distToCluster := s.Space().Dist(s.Coord(2), c.ClusterCenter)
 	if distToCluster > s.Space().NormOf(c.ClusterCenter)*0.1 {
@@ -173,7 +173,7 @@ func TestColludeLureTellsOthersClusterStory(t *testing.T) {
 	_, s := smallVivaldi(12, 8)
 	s.Run(100)
 	c := NewConspiracy(2, s.Space(), 5000, 40000, 9)
-	tap := NewVivaldiColludeLure(5, c, s.Space(), 13)
+	tap := NewVivaldiColludeLure(5, c, s.Space())
 	s.SetTap(5, tap)
 	resp := s.Probe(7, 5) // not the target
 	if s.Space().Dist(resp.Coord, c.ClusterCenter) > c.ClusterRadius*3 {
@@ -221,7 +221,7 @@ func TestInjectedColludingWorseThanRandomAtHighFraction(t *testing.T) {
 	mal := SelectMalicious(m.Size(), 0.5, func(i int) bool { return i == 0 }, 78)
 	malSet := MemberSet(mal)
 	for _, id := range mal {
-		s.SetTap(id, NewVivaldiColludeRepel(id, c, 3))
+		s.SetTap(id, NewVivaldiColludeRepel(id, c))
 	}
 	s.Run(1500)
 	honest := func(i int) bool { return !malSet[i] && i != 0 }

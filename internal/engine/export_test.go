@@ -6,7 +6,7 @@ package engine
 // test helper, not a mode.
 func RunUnshared(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
 	p := newPlan(spec, sc)
-	peers := p.peerSets(sc)
+	peers := p.peerSets(sc, pool)
 	units := make([]unitResult, len(p.runs)*p.reps)
 	for u := range units {
 		k := p.runs[u/p.reps]

@@ -67,7 +67,7 @@ func TestHardenedOffBitIdentical(t *testing.T) {
 		}
 		c := core.NewConspiracy(0, sys.Space(), 50000, 40000, 42)
 		for _, id := range mal {
-			sys.SetTap(id, core.NewVivaldiColludeRepel(id, c, 42))
+			sys.SetTap(id, core.NewVivaldiColludeRepel(id, c))
 		}
 		for tick := 0; tick < 60; tick++ {
 			sys.StepParallel(pool)

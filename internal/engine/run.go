@@ -105,7 +105,7 @@ func RunScenario(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
 	// Divide the pool between the unit lane and each unit's tick loop:
 	// one unit gets the full width for its shards, many units split it.
 	tickPool := pool.Split(len(units))
-	peers := p.peerSets(sc)
+	peers := p.peerSets(sc, pool)
 	q := newUnitQueue(p)
 	converge := func(u int) (CoordSystem, error) {
 		k := p.runs[u/p.reps]
@@ -124,12 +124,15 @@ func RunScenario(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
 
 // peerSets builds the evaluation peer table of every population size the
 // plan simulates — a pure function of (size, scale) and immutable, so one
-// table per size serves every unit of the scenario.
-func (p *plan) peerSets(sc Scale) map[int][][]int {
+// table per size serves every unit of the scenario. Rows draw from
+// independent streams, so the pool fills them shard by shard.
+func (p *plan) peerSets(sc Scale, pool *Pool) map[int][][]int {
 	peers := map[int][][]int{}
 	for _, k := range p.runs {
 		if n := k.run.ResolveNodes(sc); peers[n] == nil {
-			peers[n] = metrics.PeerSets(n, sc.EvalPeers, randx.DeriveSeed(sc.Seed, "eval-peers", n))
+			rows, seed := make([][]int, n), randx.DeriveSeed(sc.Seed, "eval-peers", n)
+			pool.ForEach(n, func(_, lo, hi int) { metrics.PeerSetsShard(rows, sc.EvalPeers, seed, lo, hi) })
+			peers[n] = rows
 		}
 	}
 	return peers

@@ -110,7 +110,7 @@ func installVivaldiTaps(sys tapInstaller, spec AttackSpec, malicious []int, seed
 	case AttackColludeRepel:
 		c := core.NewConspiracy(spec.Target, sys.Space(), repulsionScale, lureClusterNorm, seed)
 		for _, id := range malicious {
-			sys.SetTap(id, core.NewVivaldiColludeRepel(id, c, seed))
+			sys.SetTap(id, core.NewVivaldiColludeRepel(id, c))
 		}
 		inj.Target = spec.Target
 
@@ -122,7 +122,7 @@ func installVivaldiTaps(sys tapInstaller, spec AttackSpec, malicious []int, seed
 	case AttackColludeLure:
 		c := core.NewConspiracy(spec.Target, sys.Space(), repulsionScale, lureClusterNorm, seed)
 		for _, id := range malicious {
-			sys.SetTap(id, core.NewVivaldiColludeLure(id, c, sys.Space(), seed))
+			sys.SetTap(id, core.NewVivaldiColludeLure(id, c, sys.Space()))
 		}
 		inj.Target = spec.Target
 
@@ -138,7 +138,7 @@ func installVivaldiTaps(sys tapInstaller, spec AttackSpec, malicious []int, seed
 			sys.SetTap(id, core.NewVivaldiRepulsion(id, sys.Space(), repulsionScale, nil, seed))
 		}
 		for _, id := range groups[2] {
-			sys.SetTap(id, core.NewVivaldiColludeRepel(id, c, seed))
+			sys.SetTap(id, core.NewVivaldiColludeRepel(id, c))
 		}
 		inj.Target = spec.Target
 

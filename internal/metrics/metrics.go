@@ -46,8 +46,18 @@ func SampleError(rtt, predicted float64) float64 {
 // measurement affordable; k=0 means "all other nodes".
 func PeerSets(n, k int, seed int64) [][]int {
 	peers := make([][]int, n)
-	if k <= 0 || k >= n-1 {
-		for i := range peers {
+	PeerSetsShard(peers, k, seed, 0, n)
+	return peers
+}
+
+// PeerSetsShard fills rows [lo, hi) of the PeerSets table of len(peers)
+// nodes. Every row draws from its own stream derived from (seed, row), so
+// disjoint ranges can be filled concurrently and the table is the same
+// however it is cut.
+func PeerSetsShard(peers [][]int, k int, seed int64, lo, hi int) {
+	n := len(peers)
+	for i := lo; i < hi; i++ {
+		if k <= 0 || k >= n-1 {
 			all := make([]int, 0, n-1)
 			for j := 0; j < n; j++ {
 				if j != i {
@@ -55,10 +65,8 @@ func PeerSets(n, k int, seed int64) [][]int {
 				}
 			}
 			peers[i] = all
+			continue
 		}
-		return peers
-	}
-	for i := range peers {
 		rng := randx.NewDerived(seed, "peers", i)
 		set := make([]int, 0, k)
 		for _, j := range randx.Sample(rng, n-1, k) {
@@ -69,7 +77,6 @@ func PeerSets(n, k int, seed int64) [][]int {
 		}
 		peers[i] = set
 	}
-	return peers
 }
 
 // NodeErrors computes, for every node with include(i) true, the average

@@ -80,8 +80,11 @@ func TestPeerSetsSampled(t *testing.T) {
 			seen[j] = true
 		}
 	}
-	// Deterministic.
-	again := PeerSets(100, 10, 42)
+	// Deterministic, and the same table however it is cut and in
+	// whatever order the cuts are filled.
+	again := make([][]int, 100)
+	PeerSetsShard(again, 10, 42, 64, 100)
+	PeerSetsShard(again, 10, 42, 0, 64)
 	for i := range peers {
 		for k := range peers[i] {
 			if peers[i][k] != again[i][k] {

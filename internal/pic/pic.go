@@ -94,7 +94,9 @@ type ProbeReply struct {
 	RTT   float64 // milliseconds
 }
 
-// Tap intercepts an anchor's replies (the attack hook; mirrors nps.Tap).
+// Tap intercepts an anchor's replies (the attack hook; mirrors nps.Tap,
+// including its per-reply coordinate copy, measured there as nothing to
+// win).
 type Tap interface {
 	Respond(victim int, honest ProbeReply, view View) ProbeReply
 }

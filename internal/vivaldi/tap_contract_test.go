@@ -33,8 +33,8 @@ func TestStepParallelAttackedAllocs(t *testing.T) {
 		repulsion := func(_ *core.Conspiracy, id int) vivaldi.Tap {
 			return core.NewVivaldiRepulsion(id, space, 50000, nil, seed)
 		}
-		repel := func(c *core.Conspiracy, id int) vivaldi.Tap { return core.NewVivaldiColludeRepel(id, c, seed) }
-		lure := func(c *core.Conspiracy, id int) vivaldi.Tap { return core.NewVivaldiColludeLure(id, c, space, seed) }
+		repel := func(c *core.Conspiracy, id int) vivaldi.Tap { return core.NewVivaldiColludeRepel(id, c) }
+		lure := func(c *core.Conspiracy, id int) vivaldi.Tap { return core.NewVivaldiColludeLure(id, c, space) }
 		frog := func(_ *core.Conspiracy, id int) vivaldi.Tap { return core.NewVivaldiFrogBoil(id, space, seed) }
 		// A kind is the tap constructors its attackers are split evenly
 		// between (one for the pure attacks, three for §5.3.4's combined).

@@ -198,14 +198,14 @@ func NewConspiracy(targetNode int, space Space, seed int64) *Conspiracy {
 
 // NewColludingRepelAttack returns strategy 1 of §5.3.3: consistently exile
 // every honest node away from the conspiracy's target.
-func NewColludingRepelAttack(owner int, c *Conspiracy, seed int64) VivaldiTap {
-	return core.NewVivaldiColludeRepel(owner, c, seed)
+func NewColludingRepelAttack(owner int, c *Conspiracy) VivaldiTap {
+	return core.NewVivaldiColludeRepel(owner, c)
 }
 
 // NewColludingLureAttack returns strategy 2 of §5.3.3: lure the target
 // into the attackers' pretend remote cluster.
-func NewColludingLureAttack(owner int, c *Conspiracy, space Space, seed int64) VivaldiTap {
-	return core.NewVivaldiColludeLure(owner, c, space, seed)
+func NewColludingLureAttack(owner int, c *Conspiracy, space Space) VivaldiTap {
+	return core.NewVivaldiColludeLure(owner, c, space)
 }
 
 // NewNPSDisorderAttack returns the §5.4.1 simple NPS disorder tap.

@@ -134,8 +134,8 @@ func TestConspiracyAndColludingTapsConstructible(t *testing.T) {
 	internet := GenerateInternet(30, 6)
 	sys := NewVivaldi(internet, VivaldiConfig{}, 6)
 	c := NewConspiracy(0, sys.Space(), 6)
-	sys.SetTap(3, NewColludingRepelAttack(3, c, 6))
-	sys.SetTap(4, NewColludingLureAttack(4, c, sys.Space(), 6))
+	sys.SetTap(3, NewColludingRepelAttack(3, c))
+	sys.SetTap(4, NewColludingLureAttack(4, c, sys.Space()))
 	sys.SetTap(5, NewRepulsionAttack(5, sys.Space(), map[int]bool{1: true}, 6))
 	sys.Run(10)
 }
