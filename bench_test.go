@@ -306,7 +306,7 @@ func benchLiveTick(b *testing.B, m latency.Substrate) {
 		a[i] = i < 64
 		rest[i] = !a[i]
 	}
-	cs.(engine.Partitioner).ApplyPartition(a, rest)
+	cs.(interface{ ApplyPartition(a, b []bool) int }).ApplyPartition(a, rest)
 	// Warm until steady state: the event slab, buffer pools, pending maps
 	// and scratch buffers reach their high-water marks over the first
 	// ticks. The severed nodes' pending sets grow until the probe timeout

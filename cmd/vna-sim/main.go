@@ -106,28 +106,24 @@ func main() {
 		fatal(err)
 	}
 
+	// The plan is checked before anything runs: a scenario the preset's
+	// backend cannot honour (under -backend live: NPS, custom runners) is
+	// skipped by "all" and fails upfront when named, instead of aborting
+	// mid-loop with partial output.
 	var ids []string
 	if sel == "all" {
 		for _, sp := range engine.List() {
-			// A backend override applies to every run, so under -backend
-			// live "all" means "all live-capable": skipping the NPS,
-			// custom and churn scenarios upfront beats aborting mid-loop
-			// with partial output.
-			if execBackend == engine.BackendLive {
-				if err := sp.SupportsLive(); err != nil {
-					fmt.Fprintf(os.Stderr, "skipping %v\n", err)
-					continue
-				}
+			if _, _, _, err := engine.Plan(sp, preset); err != nil {
+				fmt.Fprintf(os.Stderr, "skipping %v\n", err)
+				continue
 			}
 			ids = append(ids, sp.Name)
 		}
 	} else {
 		for _, id := range strings.Split(sel, ",") {
 			id = strings.TrimSpace(id)
-			// Explicitly named scenarios fail upfront rather than after
-			// earlier ids in the list already ran.
-			if sp, ok := engine.Get(id); ok && execBackend == engine.BackendLive {
-				if err := sp.SupportsLive(); err != nil {
+			if sp, ok := engine.Get(id); ok {
+				if _, _, _, err := engine.Plan(sp, preset); err != nil {
 					fatal(err)
 				}
 			}
@@ -144,7 +140,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  campaign %s\n", tl)
 		}
 		if sp, ok := engine.Get(id); ok && sp.Custom == nil {
-			units, groups, shared := engine.Plan(sp, preset)
+			units, groups, shared, _ := engine.Plan(sp, preset)
 			fmt.Fprintf(os.Stderr, "  plan: %d units in %d groups: %d clean convergences shared\n", units, groups, shared)
 		}
 		result, err := experiment.RunWith(id, preset, *workersFlag)

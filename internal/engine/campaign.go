@@ -38,11 +38,8 @@ const (
 	// SelIDs: the explicit IDs (filtered to eligible nodes).
 	SelIDs SelectorKind = "ids"
 	// SelDegree: the Frac of eligible nodes with the highest spring-graph
-	// degree (in- plus out-springs via vivaldi.NeighborSets; requires a
-	// system exposing its neighbour graph).
+	// degree (in- plus out-springs via vivaldi.NeighborSets; Vivaldi only).
 	SelDegree SelectorKind = "degree"
-	// SelLandmarks: nodes holding the NPS landmark role (requires NPS).
-	SelLandmarks SelectorKind = "landmarks"
 	// SelRest: everything the other side of a partition did not take.
 	// Valid only as PhasePartition.B, where it is also the zero value's
 	// meaning.
@@ -58,7 +55,7 @@ type Selector struct {
 
 func (sel Selector) validate(role string) error {
 	switch sel.Kind {
-	case SelAll, SelLandmarks:
+	case SelAll:
 	case SelFrac, SelDegree:
 		if sel.Frac <= 0 || sel.Frac > 1 {
 			return fmt.Errorf("%s selector %q needs Frac in (0,1], got %g", role, sel.Kind, sel.Frac)
@@ -83,8 +80,10 @@ func (sel Selector) validate(role string) error {
 }
 
 // resolve returns the sorted node ids the selector picks out of the
-// eligible set, drawing any randomness from rng.
-func (sel Selector) resolve(cs CoordSystem, eligible func(int) bool, rng fracRng) ([]int, error) {
+// eligible set, drawing any randomness from rng. Validation has run: the
+// kind is resolvable (SelRest never reaches here) and, by the capability
+// rule, SelDegree selects on a system with springs.
+func (sel Selector) resolve(cs CoordSystem, eligible func(int) bool, rng fracRng) []int {
 	n := cs.Size()
 	pool := make([]int, 0, n)
 	for i := 0; i < n; i++ {
@@ -94,7 +93,7 @@ func (sel Selector) resolve(cs CoordSystem, eligible func(int) bool, rng fracRng
 	}
 	switch sel.Kind {
 	case SelAll:
-		return pool, nil
+		return pool
 
 	case SelFrac:
 		k := fracCount(sel.Frac, len(pool))
@@ -103,7 +102,7 @@ func (sel Selector) resolve(cs CoordSystem, eligible func(int) bool, rng fracRng
 			out = append(out, pool[idx])
 		}
 		sort.Ints(out)
-		return out, nil
+		return out
 
 	case SelIDs:
 		out := make([]int, 0, len(sel.IDs))
@@ -113,13 +112,10 @@ func (sel Selector) resolve(cs CoordSystem, eligible func(int) bool, rng fracRng
 			}
 		}
 		sort.Ints(out)
-		return out, nil
+		return out
 
 	case SelDegree:
-		ng, ok := cs.(NeighborGrapher)
-		if !ok {
-			return nil, fmt.Errorf("selector %q needs a system exposing its neighbour graph", sel.Kind)
-		}
+		ng := cs.(springSystem)
 		// Degree = out-springs plus in-springs: the spring graph is
 		// directed (i picks its 64 springs), so popular hosts are the ones
 		// many others chose.
@@ -140,22 +136,9 @@ func (sel Selector) resolve(cs CoordSystem, eligible func(int) bool, rng fracRng
 		})
 		out := byDeg[:fracCount(sel.Frac, len(byDeg))]
 		sort.Ints(out)
-		return out, nil
-
-	case SelLandmarks:
-		lm, ok := cs.(Landmarker)
-		if !ok {
-			return nil, fmt.Errorf("selector %q needs a landmark-role system (nps)", sel.Kind)
-		}
-		out := make([]int, 0)
-		for i := 0; i < n; i++ {
-			if lm.IsLandmark(i) {
-				out = append(out, i)
-			}
-		}
-		return out, nil
+		return out
 	}
-	return nil, fmt.Errorf("selector kind %q cannot be resolved directly", sel.Kind)
+	panic("engine: unresolvable selector kind " + string(sel.Kind))
 }
 
 // fracRng defers RNG construction to first use, so selectors that draw no
@@ -283,9 +266,9 @@ type Schedule struct {
 	Phases []Phase
 }
 
-// Validate checks the schedule's internal consistency for a scenario on
-// the given system kind.
-func (s *Schedule) Validate(kind SystemKind) error {
+// validate checks the schedule's internal consistency. What a phase needs
+// of the system and backend is the capability rule's (checkRun).
+func (s *Schedule) validate() error {
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("schedule has no phases")
 	}
@@ -304,9 +287,6 @@ func (s *Schedule) Validate(kind SystemKind) error {
 		}
 		if ph.Until != 0 && ph.Until <= ph.At {
 			return fmt.Errorf("phase %d: Until (%d) must exceed At (%d)", pi, ph.Until, ph.At)
-		}
-		if kind != SystemVivaldi && ph.Attack == nil {
-			return fmt.Errorf("phase %d: %s phases require the vivaldi system", pi, ph.action())
 		}
 		switch {
 		case ph.Attack != nil:
@@ -412,39 +392,6 @@ func selSuffix(sel Selector) string {
 	return " of " + selName(sel)
 }
 
-// Optional capabilities campaign dispatch discovers by type assertion.
-
-// AttackRemover uninstalls the taps of previously injected attackers —
-// the teardown half of the attack installer. All engine adapters
-// implement it (a nil tap disarms on both backends).
-type AttackRemover interface {
-	RemoveTaps(ids []int)
-}
-
-// Partitioner severs and heals links between node sets.
-type Partitioner interface {
-	ApplyPartition(a, b []bool) int
-	HealPartition(id int)
-}
-
-// FaultMutator mutates the live network's fault knobs mid-run. The
-// in-memory backend has no packet network, so fault phases are documented
-// no-ops there.
-type FaultMutator interface {
-	SetFaults(f FaultSpec)
-	CurrentFaults() FaultSpec
-}
-
-// NeighborGrapher exposes the spring graph (SelDegree).
-type NeighborGrapher interface {
-	Neighbors(i int) []int
-}
-
-// Landmarker exposes the NPS landmark role (SelLandmarks).
-type Landmarker interface {
-	IsLandmark(i int) bool
-}
-
 // campaign is the per-unit runtime state of a schedule: phase attackers
 // are drawn up front (so the honest measurement set is constant for the
 // whole run, same rationale as the main attacker draw), everything else
@@ -474,9 +421,9 @@ type campaign struct {
 // reports nodes that must not be drawn as phase attackers (the main
 // malicious set, ineligible nodes, the protected target). Returns nil
 // when the run has no schedule.
-func newCampaign(cs CoordSystem, r RunSpec, repSeed int64, exclude func(int) bool) (*campaign, error) {
+func newCampaign(cs CoordSystem, r RunSpec, repSeed int64, exclude func(int) bool) *campaign {
 	if r.Schedule == nil {
-		return nil, nil
+		return nil
 	}
 	c := &campaign{
 		cs:            cs,
@@ -499,10 +446,7 @@ func newCampaign(cs CoordSystem, r RunSpec, repSeed int64, exclude func(int) boo
 			return !c.schedMal[i] && (exclude == nil || !exclude(i))
 		}
 		rng := lazyRng(repSeed, "campaign-attack", pi)
-		ids, err := ph.Attack.Sel.resolve(cs, eligible, rng)
-		if err != nil {
-			return nil, fmt.Errorf("campaign phase %d: %w", pi, err)
-		}
+		ids := ph.Attack.Sel.resolve(cs, eligible, rng)
 		if ph.Attack.Sel.Kind != SelIDs {
 			// The selector scoped the pool; the Frac draw picks the
 			// attackers out of it, sized against the whole population like
@@ -523,7 +467,7 @@ func newCampaign(cs CoordSystem, r RunSpec, repSeed int64, exclude func(int) boo
 			c.schedMal[id] = true
 		}
 	}
-	return c, nil
+	return c
 }
 
 // ScheduledAttacker reports whether node i is drawn as an attacker by any
@@ -544,9 +488,7 @@ func (c *campaign) dispatch(period int) error {
 	for q := c.next; q <= period; q++ {
 		for pi, ph := range c.phases {
 			if ph.Until != 0 && ph.Until == q && ph.Churn == nil {
-				if err := c.remove(pi, ph); err != nil {
-					return err
-				}
+				c.remove(pi, ph)
 			}
 		}
 		for pi, ph := range c.phases {
@@ -558,9 +500,7 @@ func (c *campaign) dispatch(period int) error {
 		}
 		for pi, ph := range c.phases {
 			if ph.Churn != nil && churnActive(ph, q) {
-				if err := c.burst(pi, ph, q); err != nil {
-					return err
-				}
+				c.burst(pi, ph, q)
 			}
 		}
 	}
@@ -584,27 +524,19 @@ func (c *campaign) install(pi int, ph Phase) error {
 		return err
 
 	case ph.Faults != nil:
-		fm, ok := c.cs.(FaultMutator)
-		if !ok {
-			return nil // documented no-op: the memory backend has no packet network
+		// The capability rule's one documented no-op: the memory backend
+		// has no packet network, so only a live system has knobs to set.
+		if ls, ok := c.cs.(*liveSystem); ok {
+			c.prevFault[pi], c.havePrev[pi] = ls.faults(), true
+			ls.setFaults(*ph.Faults)
 		}
-		c.prevFault[pi], c.havePrev[pi] = fm.CurrentFaults(), true
-		fm.SetFaults(*ph.Faults)
 		return nil
 
 	case ph.Partition != nil:
-		pt, ok := c.cs.(Partitioner)
-		if !ok {
-			return fmt.Errorf("campaign phase %d: system cannot partition", pi)
-		}
 		rng := lazyRng(c.seed, "campaign-cut", pi)
-		aIDs, err := ph.Partition.A.resolve(c.cs, nil, rng)
-		if err != nil {
-			return fmt.Errorf("campaign phase %d: %w", pi, err)
-		}
 		n := c.cs.Size()
 		a := make([]bool, n)
-		for _, id := range aIDs {
+		for _, id := range ph.Partition.A.resolve(c.cs, nil, rng) {
 			a[id] = true
 		}
 		b := make([]bool, n)
@@ -613,44 +545,26 @@ func (c *campaign) install(pi int, ph Phase) error {
 				b[i] = !a[i]
 			}
 		} else {
-			bIDs, err := ph.Partition.B.resolve(c.cs, func(i int) bool { return !a[i] }, rng)
-			if err != nil {
-				return fmt.Errorf("campaign phase %d: %w", pi, err)
-			}
-			for _, id := range bIDs {
+			for _, id := range ph.Partition.B.resolve(c.cs, func(i int) bool { return !a[i] }, rng) {
 				b[id] = true
 			}
 		}
-		c.cutID[pi] = pt.ApplyPartition(a, b)
+		c.cutID[pi] = c.cs.(springSystem).ApplyPartition(a, b)
 		return nil
 	}
 	return nil
 }
 
-func (c *campaign) remove(pi int, ph Phase) error {
+func (c *campaign) remove(pi int, ph Phase) {
 	switch {
 	case ph.Attack != nil:
-		rm, ok := c.cs.(AttackRemover)
-		if !ok {
-			return fmt.Errorf("campaign phase %d: system cannot remove taps", pi)
-		}
-		rm.RemoveTaps(c.attackers[pi])
-		return nil
-
-	case ph.Faults != nil:
-		if fm, ok := c.cs.(FaultMutator); ok && c.havePrev[pi] {
-			fm.SetFaults(c.prevFault[pi])
-		}
-		return nil
-
-	case ph.Partition != nil:
-		if pt, ok := c.cs.(Partitioner); ok && c.cutID[pi] != 0 {
-			pt.HealPartition(c.cutID[pi])
-			c.cutID[pi] = 0
-		}
-		return nil
+		c.cs.RemoveTaps(c.attackers[pi])
+	case ph.Faults != nil && c.havePrev[pi]:
+		c.cs.(*liveSystem).setFaults(c.prevFault[pi])
+	case ph.Partition != nil && c.cutID[pi] != 0:
+		c.cs.(springSystem).HealPartition(c.cutID[pi])
+		c.cutID[pi] = 0
 	}
-	return nil
 }
 
 // burst fires one churn period: the selector's pool (resolved once, at the
@@ -658,24 +572,19 @@ func (c *campaign) remove(pi int, ph Phase) error {
 // id order with a Bernoulli(Frac) draw from a per-(phase, period) stream.
 // Session phases (Sessions set) instead reset exactly the participants
 // whose Pareto session expired by this barrier.
-func (c *campaign) burst(pi int, ph Phase, q int) error {
-	ch, ok := c.cs.(Churner)
-	if !ok {
-		return fmt.Errorf("campaign phase %d: system cannot churn", pi)
-	}
+func (c *campaign) burst(pi int, ph Phase, q int) {
+	ch := c.cs.(springSystem)
 	if c.churnPool[pi] == nil {
 		eligible := func(i int) bool { return c.cs.Evaluable(i) && !c.schedMal[i] }
-		pool, err := ph.Churn.Sel.resolve(c.cs, eligible, lazyRng(c.seed, "campaign-churn-sel", pi))
-		if err != nil {
-			return fmt.Errorf("campaign phase %d: %w", pi, err)
-		}
+		pool := ph.Churn.Sel.resolve(c.cs, eligible, lazyRng(c.seed, "campaign-churn-sel", pi))
 		if pool == nil {
 			pool = []int{}
 		}
 		c.churnPool[pi] = pool
 	}
 	if ph.Churn.Sessions != nil {
-		return c.sessionBurst(pi, ph, q, ch)
+		c.sessionBurst(pi, ph, q, ch)
+		return
 	}
 	rng := randx.NewDerived(c.seed, "campaign-churn", pi*1_000_000+q)
 	for _, id := range c.churnPool[pi] {
@@ -683,7 +592,6 @@ func (c *campaign) burst(pi int, ph Phase, q int) error {
 			ch.ResetNode(id)
 		}
 	}
-	return nil
 }
 
 // sessionBurst is the Pareto session-length path: the Bernoulli(Frac)
@@ -695,7 +603,7 @@ func (c *campaign) burst(pi int, ph Phase, q int) error {
 // cycled more than once between barriers still resets once — barriers are
 // the only instants churn can act, so intra-period flaps are unobservable
 // by construction.
-func (c *campaign) sessionBurst(pi int, ph Phase, q int, ch Churner) error {
+func (c *campaign) sessionBurst(pi int, ph Phase, q int, ch springSystem) {
 	ses := ph.Churn.Sessions
 	if c.churnPart[pi] == nil {
 		rng := randx.NewDerived(c.seed, "campaign-churn-init", pi)
@@ -721,7 +629,6 @@ func (c *campaign) sessionBurst(pi int, ph Phase, q int, ch Churner) error {
 			c.churnDeadline[pi][k] += randx.Pareto(rng, ses.MinPeriods, ses.Alpha)
 		}
 	}
-	return nil
 }
 
 func isZeroSelector(sel Selector) bool {

@@ -5,14 +5,14 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/nps"
 	"repro/internal/vivaldi"
 )
 
 func onePhase(ph Phase) *Schedule { return &Schedule{Phases: []Phase{ph}} }
 
-// TestScheduleValidation sweeps the structural rules: exactly one action,
-// ordered windows, selector constraints, system requirements.
+// TestScheduleValidation sweeps the structural rules (exactly one action,
+// ordered windows, selector constraints) and the capability rule's system
+// requirements, through ScenarioSpec.Validate as registration applies them.
 func TestScheduleValidation(t *testing.T) {
 	disorder := &PhaseAttack{Spec: AttackSpec{Kind: AttackDisorder}, Frac: 0.2}
 	cases := []struct {
@@ -61,11 +61,26 @@ func TestScheduleValidation(t *testing.T) {
 		{"nps churn rejected", SystemNPS, onePhase(Phase{Churn: &PhaseChurn{Frac: 0.1}}), false},
 		{"nps faults rejected", SystemNPS, onePhase(Phase{Faults: &FaultSpec{Loss: 0.1}}), false},
 		{"nps partition rejected", SystemNPS, onePhase(Phase{Partition: &PhasePartition{
-			A: Selector{Kind: SelLandmarks},
+			A: Selector{Kind: SelFrac, Frac: 0.25},
+		}}), false},
+		{"nps attack degree rejected", SystemNPS, onePhase(Phase{At: 1, Attack: &PhaseAttack{
+			Spec: AttackSpec{Kind: AttackDisorder}, Frac: 0.2, Sel: Selector{Kind: SelDegree, Frac: 0.5},
+		}}), false},
+		{"vivaldi attack degree ok", SystemVivaldi, onePhase(Phase{At: 1, Attack: &PhaseAttack{
+			Spec: AttackSpec{Kind: AttackDisorder}, Frac: 0.2, Sel: Selector{Kind: SelDegree, Frac: 0.5},
+		}}), true},
+		{"landmarks selector unknown (nps)", SystemNPS, onePhase(Phase{At: 1, Attack: &PhaseAttack{
+			Spec: AttackSpec{Kind: AttackDisorder}, Frac: 0.2, Sel: Selector{Kind: "landmarks"},
+		}}), false},
+		{"landmarks selector unknown (vivaldi)", SystemVivaldi, onePhase(Phase{Partition: &PhasePartition{
+			A: Selector{Kind: "landmarks"},
 		}}), false},
 	}
 	for _, c := range cases {
-		err := c.s.Validate(c.kind)
+		err := ScenarioSpec{
+			Name: "x", System: c.kind, Output: OutMeanVsTime,
+			Series: []SeriesSpec{{Label: "a", Runs: []RunSpec{{Schedule: c.s}}}},
+		}.Validate()
 		if c.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", c.name, err)
 		}
@@ -81,42 +96,23 @@ func TestSelectorResolve(t *testing.T) {
 	cs := NewVivaldiSharded(m, vivaldi.Config{}, 3, nil)
 	rng := lazyRng(3, "test-sel", 0)
 
-	all, err := Selector{}.resolve(cs, nil, rng)
-	if err != nil || len(all) != 48 {
-		t.Fatalf("SelAll: %d nodes, err %v", len(all), err)
+	if all := (Selector{}).resolve(cs, nil, rng); len(all) != 48 {
+		t.Fatalf("SelAll: %d nodes", len(all))
 	}
-	frac, err := Selector{Kind: SelFrac, Frac: 0.25}.resolve(cs, nil, rng)
-	if err != nil || len(frac) != 12 {
-		t.Fatalf("SelFrac 0.25: %d nodes, err %v", len(frac), err)
+	if frac := (Selector{Kind: SelFrac, Frac: 0.25}).resolve(cs, nil, rng); len(frac) != 12 {
+		t.Fatalf("SelFrac 0.25: %d nodes", len(frac))
 	}
-	ids, err := Selector{Kind: SelIDs, IDs: []int{5, 99, 7}}.resolve(cs, nil, rng)
-	if err != nil || !reflect.DeepEqual(ids, []int{5, 7}) {
-		t.Fatalf("SelIDs: got %v, err %v", ids, err)
+	if ids := (Selector{Kind: SelIDs, IDs: []int{5, 99, 7}}).resolve(cs, nil, rng); !reflect.DeepEqual(ids, []int{5, 7}) {
+		t.Fatalf("SelIDs: got %v", ids)
 	}
-	deg, err := Selector{Kind: SelDegree, Frac: 0.1}.resolve(cs, nil, rng)
-	if err != nil || len(deg) != 4 {
-		t.Fatalf("SelDegree: %d nodes, err %v", len(deg), err)
+	deg := Selector{Kind: SelDegree, Frac: 0.1}.resolve(cs, nil, rng)
+	if len(deg) != 4 {
+		t.Fatalf("SelDegree: %d nodes", len(deg))
 	}
 	// 48 nodes < 64 springs: the graph is complete, every degree equal, so
 	// the stable sort picks the lowest ids.
 	if !reflect.DeepEqual(deg, []int{0, 1, 2, 3}) {
 		t.Fatalf("SelDegree tie-break: got %v", deg)
-	}
-	if _, err := (Selector{Kind: SelLandmarks}).resolve(cs, nil, rng); err == nil {
-		t.Fatal("SelLandmarks resolved on a non-landmark system")
-	}
-
-	// Landmarks on NPS: exactly the layer-0 nodes.
-	nsys := NewNPSSharded(m, nps.Config{ProbeThresholdMS: 5000, SolveIterations: 120}, 3, Serial{})
-	lms, err := Selector{Kind: SelLandmarks}.resolve(nsys, nil, rng)
-	if err != nil || len(lms) == 0 {
-		t.Fatalf("SelLandmarks on nps: %d nodes, err %v", len(lms), err)
-	}
-	lm := nsys.(Landmarker)
-	for _, id := range lms {
-		if !lm.IsLandmark(id) {
-			t.Fatalf("node %d selected as landmark but is not one", id)
-		}
 	}
 }
 
@@ -174,13 +170,13 @@ func TestCampaignPartitionMemory(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	pt := cs.(Partitioner)
+	pt := cs.(springSystem)
 	id := pt.ApplyPartition(all, all) // complete cut: nobody samples
-	frozen := cs.Snapshot()
+	frozen := cs.Store().Coords()
 	for i := 0; i < 30; i++ {
 		cs.Step(pool)
 	}
-	for i, c := range cs.Snapshot() {
+	for i, c := range cs.Store().Coords() {
 		if !reflect.DeepEqual(c, frozen[i]) {
 			t.Fatalf("node %d moved across a total partition", i)
 		}
@@ -188,7 +184,7 @@ func TestCampaignPartitionMemory(t *testing.T) {
 	pt.HealPartition(id)
 	cs.Step(pool)
 	moved := 0
-	for i, c := range cs.Snapshot() {
+	for i, c := range cs.Store().Coords() {
 		if !reflect.DeepEqual(c, frozen[i]) {
 			moved++
 		}
@@ -205,29 +201,28 @@ func TestCampaignFaultAccounting(t *testing.T) {
 	m := BaseMatrix(liveScale)
 	cs := NewLiveNet(m, vivaldi.Config{}, 9, Serial{}, LiveNetConfig{})
 	ls := cs.(*liveSystem)
-	fm := cs.(FaultMutator)
 
-	if got := fm.CurrentFaults().Loss; got != 0 {
+	if got := ls.faults().Loss; got != 0 {
 		t.Fatalf("fresh live network has loss %g", got)
 	}
-	prev := fm.CurrentFaults()
-	fm.SetFaults(FaultSpec{Loss: 0.2})
-	ls.TakeNetStats()
+	prev := ls.faults()
+	ls.setFaults(FaultSpec{Loss: 0.2})
+	ls.net.TakeStats()
 	for i := 0; i < 20; i++ {
 		cs.Step(Serial{})
 	}
-	lossy := ls.TakeNetStats()
+	lossy := ls.net.TakeStats()
 	if lossy.Dropped == 0 {
 		t.Fatal("20% loss phase dropped nothing")
 	}
-	fm.SetFaults(prev)
-	if got := fm.CurrentFaults(); got != prev {
+	ls.setFaults(prev)
+	if got := ls.faults(); got != prev {
 		t.Fatalf("fault restore mismatch: %+v vs %+v", got, prev)
 	}
 	for i := 0; i < 20; i++ {
 		cs.Step(Serial{})
 	}
-	clean := ls.TakeNetStats()
+	clean := ls.net.TakeStats()
 	if clean.Dropped != 0 {
 		t.Fatalf("restored network still dropped %d packets", clean.Dropped)
 	}

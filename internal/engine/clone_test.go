@@ -40,8 +40,8 @@ func sameSystem(t *testing.T, what string, a, b CoordSystem, peers [][]int, pool
 			t.Fatalf("%s: ticks %d vs %d", what, va.sys.Tick(), vb.sys.Tick())
 		}
 	}
-	if fa, ok := a.(FilterStatser); ok {
-		if sa, sb := fa.FilterStats(), b.(FilterStatser).FilterStats(); sa != sb {
+	if _, ok := a.(*npsAdapter); ok {
+		if sa, sb := npsDeployment(a).Stats(), npsDeployment(b).Stats(); sa != sb {
 			t.Fatalf("%s: filter stats %+v vs %+v", what, sa, sb)
 		}
 	}
@@ -135,7 +135,7 @@ func TestCloneRefusesTaps(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: Clone with taps installed did not panic", cs.Kind())
+					t.Errorf("%T: Clone with taps installed did not panic", cs)
 				}
 			}()
 			cs.Clone()

@@ -1,5 +1,9 @@
 package engine
 
+// engine.go is the first file to import nps, ahead of live_adapter.go's
+// daemon and vivaldi: the linker lays packages out in first-import order,
+// and with nps later gnp's solver loop lost its cache-line alignment —
+// figs_nps wall_s +16 % with no code of its own changed.
 import (
 	"repro/internal/coordspace"
 	"repro/internal/latency"
@@ -20,11 +24,10 @@ const (
 // scenario runner drives every experiment — attack injection, sharded tick
 // execution, measurement — exclusively through this interface, so a new
 // coordinate system (or a live-network backend) plugs into every
-// registered scenario by implementing it.
+// registered scenario by implementing it. What a system can do beyond
+// this interface is decided once, by the capability rule (checkRun), before
+// any unit is built.
 type CoordSystem interface {
-	// Kind identifies the implementation.
-	Kind() SystemKind
-
 	// Size returns the population size.
 	Size() int
 
@@ -45,6 +48,10 @@ type CoordSystem interface {
 	// returns what the attack decided (victim sets, designated target).
 	Inject(spec AttackSpec, malicious []int, seed int64) (*Injection, error)
 
+	// RemoveTaps uninstalls the given nodes' attack taps — the teardown
+	// half of Inject, used by campaign phases that end mid-run.
+	RemoveTaps(ids []int)
+
 	// EligibleAttacker reports whether node i may be drawn malicious
 	// (NPS landmarks, assumed secure, are not).
 	EligibleAttacker(i int) bool
@@ -52,11 +59,6 @@ type CoordSystem interface {
 	// Evaluable reports whether node i participates in accuracy
 	// aggregates (NPS landmarks have pinned coordinates and do not).
 	Evaluable(i int) bool
-
-	// Snapshot returns copies of all current coordinates — the boundary
-	// representation, constructed on demand. Hot paths measure through
-	// Store instead.
-	Snapshot() []coordspace.Coord
 
 	// Store returns the system's live flat coordinate store (read-only to
 	// callers). Measurement sweeps it directly, so the O(n·k) pass is
@@ -91,25 +93,25 @@ type Injection struct {
 	Target    int
 }
 
-// Optional CoordSystem capabilities, discovered by type assertion.
-
-// FilterStatser is implemented by systems with a malicious-reference
-// detection mechanism whose decisions the scenarios count (NPS).
-type FilterStatser interface {
-	FilterStats() nps.FilterStats
-	ResetFilterStats()
-}
-
-// Layered is implemented by hierarchical systems (NPS): scenarios that
-// study error propagation group final errors by layer.
-type Layered interface {
-	Layer(i int) int
-	Layers() int
-}
-
-// Churner is implemented by systems that support membership churn: a
-// departing host's slot is taken by a fresh join that re-converges from
-// scratch.
-type Churner interface {
+// springSystem is what both Vivaldi backends share beyond CoordSystem: the
+// spring graph (SelDegree) and the per-node and per-link mutations churn
+// and partition phases apply. Only Vivaldi runs use it, and the capability
+// rule rejects every other run that asks for it, so callers assert it
+// without an ok branch.
+type springSystem interface {
+	CoordSystem
 	ResetNode(i int)
+	Neighbors(i int) []int
+	ApplyPartition(a, b []bool) int
+	HealPartition(id int)
 }
+
+var (
+	_ springSystem = (*vivaldiAdapter)(nil)
+	_ springSystem = (*liveSystem)(nil)
+)
+
+// npsDeployment is the NPS-only read side — layers and security-filter
+// decisions — on the concrete adapter. Callers reach it only for runs
+// whose kind is NPS.
+func npsDeployment(cs CoordSystem) *nps.System { return cs.(*npsAdapter).sys }

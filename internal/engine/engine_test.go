@@ -174,7 +174,7 @@ func TestStepParallelMatchesAcrossSharders(t *testing.T) {
 		a.Step(serial)
 		b.Step(pool)
 	}
-	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+	if !reflect.DeepEqual(a.Store().Coords(), b.Store().Coords()) {
 		t.Fatal("vivaldi parallel step diverges across sharders")
 	}
 
@@ -196,11 +196,11 @@ func TestStepParallelMatchesAcrossSharders(t *testing.T) {
 		na.Step(serial)
 		nb.Step(pool)
 	}
-	if !reflect.DeepEqual(na.Snapshot(), nb.Snapshot()) {
+	if !reflect.DeepEqual(na.Store().Coords(), nb.Store().Coords()) {
 		t.Fatal("nps parallel step diverges across sharders")
 	}
-	fa := na.(FilterStatser).FilterStats()
-	fb := nb.(FilterStatser).FilterStats()
+	fa := npsDeployment(na).Stats()
+	fb := npsDeployment(nb).Stats()
 	if fa != fb {
 		t.Fatalf("nps filter stats diverge: %+v vs %+v", fa, fb)
 	}
@@ -254,7 +254,7 @@ func TestMeasureSharded(t *testing.T) {
 	}
 	// The coordinate-slice boundary form loads a fresh store and must
 	// agree bit for bit with the sweep over the live one.
-	ref := metrics.NodeErrors(m, cs.Space(), cs.Snapshot(), peers, nil)
+	ref := metrics.NodeErrors(m, cs.Space(), cs.Store().Coords(), peers, nil)
 	if !reflect.DeepEqual(want, ref) {
 		t.Fatal("store-based measurement diverges from metrics.NodeErrors")
 	}

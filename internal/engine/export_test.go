@@ -5,7 +5,10 @@ package engine
 // the reference the shared path must equal bit for bit (shared_test.go); a
 // test helper, not a mode.
 func RunUnshared(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
-	p := newPlan(spec, sc)
+	p, err := newPlan(spec, sc)
+	if err != nil {
+		return nil, err
+	}
 	peers := p.peerSets(sc, pool)
 	units := make([]unitResult, len(p.runs)*p.reps)
 	for u := range units {

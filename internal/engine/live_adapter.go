@@ -196,7 +196,6 @@ func (ls *liveSystem) buildDelayCache(neighbors [][]int) {
 	ls.delayPeers, ls.delayVals = peers, vals
 }
 
-func (ls *liveSystem) Kind() SystemKind             { return SystemVivaldi }
 func (ls *liveSystem) Size() int                    { return len(ls.nodes) }
 func (ls *liveSystem) Space() coordspace.Space      { return ls.cfg.Space }
 func (ls *liveSystem) Substrate() latency.Substrate { return ls.m }
@@ -300,24 +299,11 @@ func (ls *liveSystem) Tick() int                    { return ls.tick }
 
 var _ vivaldi.View = (*liveSystem)(nil)
 
-func (ls *liveSystem) Snapshot() []coordspace.Coord {
-	ls.sync(Serial{})
-	return ls.store.Coords()
-}
-
 func (ls *liveSystem) Store() *coordspace.Store { return ls.store }
 
 func (ls *liveSystem) Measure(peers [][]int, include func(int) bool, sh Sharder, out []float64) []float64 {
 	return measure(ls.m, ls.store, peers, include, ls.adj, sh, out)
 }
-
-// NetStats exposes the virtual network's fault counters (run banners,
-// tests).
-func (ls *liveSystem) NetStats() simnet.NetStats { return ls.net.Stats() }
-
-// TakeNetStats reads and resets the fault counters — per-phase accounting
-// for campaigns.
-func (ls *liveSystem) TakeNetStats() simnet.NetStats { return ls.net.TakeStats() }
 
 // Neighbors returns node i's spring set (campaign SelDegree selector).
 func (ls *liveSystem) Neighbors(i int) []int { return ls.neighbors[i] }
@@ -350,9 +336,10 @@ func (ls *liveSystem) ResetNode(i int) {
 func (ls *liveSystem) ApplyPartition(a, b []bool) int { return ls.net.Partition(a, b) }
 func (ls *liveSystem) HealPartition(id int)           { ls.net.Heal(id) }
 
-// SetFaults / CurrentFaults mutate the virtual network's fault knobs while
-// daemons run. In-flight packets keep the draws made at send time.
-func (ls *liveSystem) SetFaults(f FaultSpec) {
+// setFaults / faults mutate and read the virtual network's fault knobs
+// while daemons run — the live-only half of a fault phase. In-flight
+// packets keep the draws made at send time.
+func (ls *liveSystem) setFaults(f FaultSpec) {
 	ls.net.SetFaults(simnet.FaultConfig{
 		Loss:         f.Loss,
 		Duplicate:    f.Duplicate,
@@ -361,21 +348,12 @@ func (ls *liveSystem) SetFaults(f FaultSpec) {
 	})
 }
 
-func (ls *liveSystem) CurrentFaults() FaultSpec {
+func (ls *liveSystem) faults() FaultSpec {
 	f := ls.net.Faults()
 	return FaultSpec{
 		Loss:           f.Loss,
 		Duplicate:      f.Duplicate,
 		Reorder:        f.Reorder,
 		ReorderDelayMS: float64(f.ReorderDelay) / float64(time.Millisecond),
-	}
-}
-
-// Close releases every daemon's port and timer. Engine runs let the
-// garbage collector reclaim finished populations, but long-lived callers
-// (examples, tests that reuse a Sim) can tear down explicitly.
-func (ls *liveSystem) Close() {
-	for _, n := range ls.nodes {
-		n.Close()
 	}
 }

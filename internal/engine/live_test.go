@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,7 +159,7 @@ func TestLiveBackendUnderFaults(t *testing.T) {
 		cs.Step(Serial{})
 	}
 	ls := cs.(*liveSystem)
-	st := ls.NetStats()
+	st := ls.net.Stats()
 	if st.Dropped == 0 || st.Duplicated == 0 || st.Reordered == 0 {
 		t.Fatalf("fault knobs not exercised: %+v", st)
 	}
@@ -174,55 +175,43 @@ func TestLiveBackendUnderFaults(t *testing.T) {
 	}
 }
 
-// TestLiveBackendValidation covers the spec-level contract: the live
-// backend refuses NPS scenarios (at validation and at run time), accepts
-// churn runs (the SimNode reset path models live churn), and rejects
-// run-level faults on the memory backend.
+// TestLiveBackendValidation covers the registration half of the
+// capability rule (ScenarioSpec.Validate, on the backend a run pins): the
+// live backend refuses NPS and accepts churn (the SimNode reset path
+// models live churn), run-level faults need the live backend, and churn
+// needs Vivaldi and a fraction in [0,1]. A scale-level live override is
+// the plan's half (TestSupportsLive).
 func TestLiveBackendValidation(t *testing.T) {
-	bad := ScenarioSpec{
-		Name: "x", System: SystemNPS, Output: OutMeanVsTime,
-		Series: []SeriesSpec{{Label: "a", Runs: []RunSpec{{Backend: BackendLive}}}},
+	cases := []struct {
+		name string
+		kind SystemKind
+		run  RunSpec
+		ok   bool
+	}{
+		{"live nps", SystemNPS, RunSpec{Backend: BackendLive}, false},
+		{"live churn", SystemVivaldi, RunSpec{Backend: BackendLive, ChurnFrac: 0.1}, true},
+		{"bogus backend", SystemVivaldi, RunSpec{Backend: "bogus"}, false},
+		// Run-level faults describe the packet network, which only the live
+		// backend has; a memory run carrying them must fail loudly.
+		{"memory faults", SystemVivaldi, RunSpec{Faults: FaultSpec{Loss: 0.1}}, false},
+		{"live faults", SystemVivaldi, RunSpec{Backend: BackendLive, Faults: FaultSpec{Loss: 0.1}}, true},
+		// NPS has no churn path: the run used to pass and then ignore it.
+		{"nps churn", SystemNPS, RunSpec{ChurnFrac: 0.5}, false},
+		{"churn above 1", SystemVivaldi, RunSpec{ChurnFrac: 1.5}, false},
+		{"negative churn", SystemVivaldi, RunSpec{ChurnFrac: -0.1}, false},
+		{"churn 1", SystemVivaldi, RunSpec{ChurnFrac: 1}, true},
 	}
-	if err := bad.Validate(); err == nil {
-		t.Error("live NPS spec accepted at validation")
-	}
-	churn := ScenarioSpec{
-		Name: "x", System: SystemVivaldi, Output: OutMeanVsTime,
-		Series: []SeriesSpec{{Label: "a", Runs: []RunSpec{{Backend: BackendLive, ChurnFrac: 0.1}}}},
-	}
-	if err := churn.Validate(); err != nil {
-		t.Errorf("live churn spec rejected at validation: %v", err)
-	}
-	if err := (ScenarioSpec{
-		Name: "x", System: SystemVivaldi, Output: OutMeanVsTime,
-		Series: []SeriesSpec{{Label: "a", Runs: []RunSpec{{Backend: "bogus"}}}},
-	}).Validate(); err == nil {
-		t.Error("bogus backend accepted")
-	}
-	// Run-level faults describe the packet network, which only the live
-	// backend has; a memory run carrying them must fail loudly.
-	if err := (ScenarioSpec{
-		Name: "x", System: SystemVivaldi, Output: OutMeanVsTime,
-		Series: []SeriesSpec{{Label: "a", Runs: []RunSpec{{Faults: FaultSpec{Loss: 0.1}}}}},
-	}).Validate(); err == nil {
-		t.Error("memory run with faults accepted at validation")
-	}
-	if err := (ScenarioSpec{
-		Name: "x", System: SystemVivaldi, Output: OutMeanVsTime,
-		Series: []SeriesSpec{{Label: "a", Runs: []RunSpec{{Backend: BackendLive, Faults: FaultSpec{Loss: 0.1}}}}},
-	}).Validate(); err != nil {
-		t.Errorf("live run with faults rejected: %v", err)
-	}
-
-	sc := liveScale
-	sc.Backend = BackendLive
-	sc.NPSConvergeRounds, sc.NPSAttackRounds, sc.NPSSolveIterations = 1, 1, 50
-	npsSpec := ScenarioSpec{
-		Name: "x", System: SystemNPS, Output: OutMeanVsTime,
-		Series: []SeriesSpec{{Label: "a", Runs: []RunSpec{{}}}},
-	}
-	if _, err := RunScenario(npsSpec, sc, NewPool(1)); err == nil {
-		t.Error("scale-level live override ran an NPS scenario")
+	for _, c := range cases {
+		err := ScenarioSpec{
+			Name: "x", System: c.kind, Output: OutMeanVsTime,
+			Series: []SeriesSpec{{Label: "a", Runs: []RunSpec{c.run}}},
+		}.Validate()
+		if c.ok && err != nil {
+			t.Errorf("%s: rejected: %v", c.name, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: accepted at validation", c.name)
+		}
 	}
 }
 
@@ -249,33 +238,59 @@ func TestLiveChurn(t *testing.T) {
 	}
 }
 
-// TestSupportsLive pins the upfront filter cmd/vna-sim applies before a
-// -backend live sweep: custom runners and NPS systems are named as
-// blockers; plain Vivaldi specs — churn included, since live churn landed
-// with the campaign work — pass.
+// barrierCount counts the measurement barriers a scenario reaches.
+type barrierCount struct{ n atomic.Int64 }
+
+func (b *barrierCount) OnBarrier(CoordSystem, RunSpec, int, int) { b.n.Add(1) }
+
+// TestSupportsLive pins the plan half of the capability rule, which
+// cmd/vna-sim applies before a -backend live sweep: under a scale-level
+// live override, Plan and RunScenario reject custom runners and anything
+// NPS before a single unit is built; plain Vivaldi specs — churn included
+// — pass.
 func TestSupportsLive(t *testing.T) {
-	ok := ScenarioSpec{
-		Name: "x", System: SystemVivaldi, Output: OutMeanVsTime,
-		Series: []SeriesSpec{{Label: "a", Runs: []RunSpec{{}}}},
+	sc := liveScale
+	sc.Backend = BackendLive
+	sc.VivaldiConvergeTicks, sc.VivaldiAttackTicks = 60, 60
+	sc.NPSConvergeRounds, sc.NPSAttackRounds, sc.NPSSolveIterations = 1, 1, 50
+	customRan := false
+	viv := SeriesSpec{Label: "vivaldi", Runs: []RunSpec{{}}}
+	cases := []struct {
+		name string
+		spec ScenarioSpec
+		ok   bool
+	}{
+		{"vivaldi", ScenarioSpec{Name: "x", System: SystemVivaldi, Series: []SeriesSpec{viv}}, true},
+		{"vivaldi churn", ScenarioSpec{Name: "x", System: SystemVivaldi, Series: []SeriesSpec{
+			{Label: "churn", Runs: []RunSpec{{ChurnFrac: 0.05}}},
+		}}, true},
+		{"nps", ScenarioSpec{Name: "x", System: SystemNPS, Series: []SeriesSpec{viv}}, false},
+		// The Vivaldi series used to run to completion before the NPS unit
+		// failed to build.
+		{"nps series after a vivaldi one", ScenarioSpec{Name: "x", System: SystemVivaldi, Series: []SeriesSpec{
+			viv, {Label: "nps", System: SystemNPS, Runs: []RunSpec{{}}},
+		}}, false},
+		{"custom", ScenarioSpec{Name: "x", Custom: func(Scale, *Pool) *Result {
+			customRan = true
+			return &Result{}
+		}}, false},
 	}
-	if err := ok.SupportsLive(); err != nil {
-		t.Errorf("plain vivaldi spec rejected: %v", err)
+	for _, c := range cases {
+		if _, _, _, err := Plan(c.spec, sc); (err == nil) != c.ok {
+			t.Errorf("%s: Plan error %v, want ok=%v", c.name, err, c.ok)
+		}
+		var barriers barrierCount
+		obs := sc
+		obs.Observer = &barriers
+		if _, err := RunScenario(c.spec, obs, NewPool(2)); (err == nil) != c.ok {
+			t.Errorf("%s: RunScenario error %v, want ok=%v", c.name, err, c.ok)
+		}
+		if n := barriers.n.Load(); !c.ok && n != 0 {
+			t.Errorf("%s: %d barriers ran before the rejection", c.name, n)
+		}
 	}
-	custom := ScenarioSpec{Name: "x", Custom: func(Scale, *Pool) *Result { return nil }}
-	if err := custom.SupportsLive(); err == nil {
-		t.Error("custom-runner spec accepted for live")
-	}
-	nps := ok
-	nps.System = SystemNPS
-	if err := nps.SupportsLive(); err == nil {
-		t.Error("NPS spec accepted for live")
-	}
-	churn := ScenarioSpec{
-		Name: "x", System: SystemVivaldi, Output: OutMeanVsTime,
-		Series: []SeriesSpec{{Label: "a", Runs: []RunSpec{{ChurnFrac: 0.05}}}},
-	}
-	if err := churn.SupportsLive(); err != nil {
-		t.Errorf("churn spec rejected for live: %v", err)
+	if customRan {
+		t.Error("custom runner ran under a live override")
 	}
 }
 
@@ -308,11 +323,11 @@ func TestLivePartitionTimesOut(t *testing.T) {
 	for i := range before {
 		before[i] = ls.nodes[i].Updates()
 	}
-	ls.TakeNetStats()
+	ls.net.TakeStats()
 	for i := 0; i < 10; i++ {
 		cs.Step(Serial{})
 	}
-	st := ls.TakeNetStats()
+	st := ls.net.TakeStats()
 	if st.Cut == 0 {
 		t.Fatal("no transmissions counted as cut")
 	}
@@ -383,7 +398,6 @@ func (a inflatingTap) Respond(prober int, honest vivaldi.ProbeResponse, view viv
 func TestForgedDelaySaturates(t *testing.T) {
 	m := BaseMatrix(liveScale)
 	ls := NewLiveNet(m, vivaldi.Config{}, 3, Serial{}, LiveNetConfig{}).(*liveSystem)
-	defer ls.Close()
 	honest := wire.ProbeResponse{Error: 0.3, Vec: []float64{1, 2}}
 	for _, c := range []struct {
 		ms       float64

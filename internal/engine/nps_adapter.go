@@ -23,7 +23,6 @@ func NewNPSSharded(m latency.Substrate, cfg nps.Config, seed int64, sh Sharder) 
 	return &npsAdapter{sys: nps.NewSystemSharded(m, cfg, seed, sh)}
 }
 
-func (a *npsAdapter) Kind() SystemKind             { return SystemNPS }
 func (a *npsAdapter) Size() int                    { return a.sys.Size() }
 func (a *npsAdapter) Space() coordspace.Space      { return a.sys.Space() }
 func (a *npsAdapter) Substrate() latency.Substrate { return a.sys.Substrate() }
@@ -32,24 +31,13 @@ func (a *npsAdapter) EligibleAttacker(i int) bool  { return !a.sys.IsLandmark(i)
 func (a *npsAdapter) Evaluable(i int) bool         { return !a.sys.IsLandmark(i) }
 func (a *npsAdapter) Clone() CoordSystem           { return &npsAdapter{sys: a.sys.Clone()} }
 
-func (a *npsAdapter) Layer(i int) int { return a.sys.Layer(i) }
-func (a *npsAdapter) Layers() int     { return a.sys.Config().Layers }
-
-// IsLandmark exposes the landmark role for campaign selectors.
-func (a *npsAdapter) IsLandmark(i int) bool { return a.sys.IsLandmark(i) }
-
-// RemoveTaps uninstalls the given nodes' attack taps (campaign teardown).
 func (a *npsAdapter) RemoveTaps(ids []int) {
 	for _, id := range ids {
 		a.sys.SetTap(id, nil)
 	}
 }
 
-func (a *npsAdapter) FilterStats() nps.FilterStats { return a.sys.Stats() }
-func (a *npsAdapter) ResetFilterStats()            { a.sys.ResetStats() }
-
-func (a *npsAdapter) Snapshot() []coordspace.Coord { return a.sys.Coords() }
-func (a *npsAdapter) Store() *coordspace.Store     { return a.sys.Store() }
+func (a *npsAdapter) Store() *coordspace.Store { return a.sys.Store() }
 
 func (a *npsAdapter) Measure(peers [][]int, include func(int) bool, sh Sharder, out []float64) []float64 {
 	return measure(a.sys.Substrate(), a.sys.Store(), peers, include, nil, sh, out)

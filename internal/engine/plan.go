@@ -1,6 +1,9 @@
 package engine
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // runKey identifies one simulated run of a scenario. The system is part of
 // the key because a series may override the scenario's system (overlay
@@ -49,7 +52,16 @@ func convergeLen(kind SystemKind, sc Scale) int {
 // with no clean phase to start from: one that installs or samples from
 // tick zero, converges for no ticks, or runs on the live backend, which
 // cannot be copied.
-func newPlan(spec ScenarioSpec, sc Scale) *plan {
+//
+// Every run is checked against the capability rule (checkRun) on the
+// backend it resolves to at sc, so a Scale.Backend override a run cannot
+// honour fails here, before anything is built. A Custom runner plans
+// nothing and runs in memory: it is the rule's one exception, and a live
+// override rejects it.
+func newPlan(spec ScenarioSpec, sc Scale) (*plan, error) {
+	if spec.Custom != nil && sc.Backend == BackendLive {
+		return nil, fmt.Errorf("engine: scenario %s: a custom runner does not run on the live backend", spec.Name)
+	}
 	p := &plan{index: map[runKey]int{}, reps: max(sc.Reps, 1)}
 	classOf := map[runKey]int{}
 	for _, s := range spec.Series {
@@ -58,6 +70,9 @@ func newPlan(spec ScenarioSpec, sc Scale) *plan {
 			k := runKey{kind, r}
 			if _, seen := p.index[k]; seen {
 				continue
+			}
+			if err := checkRun(kind, ResolveBackend(r, sc), r); err != nil {
+				return nil, fmt.Errorf("engine: scenario %s: series %q: %w", spec.Name, s.Label, err)
 			}
 			p.index[k] = len(p.runs)
 			p.runs = append(p.runs, k)
@@ -76,17 +91,21 @@ func newPlan(spec ScenarioSpec, sc Scale) *plan {
 			p.class = append(p.class, c)
 		}
 	}
-	return p
+	return p, nil
 }
 
 // Plan reports what RunScenario will do with a scenario at a scale: how
 // many (run, repetition) units it simulates, in how many groups that each
 // converge once, and so how many clean convergences the grouping saves
-// (units − groups). A Custom scenario plans nothing.
-func Plan(spec ScenarioSpec, sc Scale) (units, groups, shared int) {
-	p := newPlan(spec, sc)
+// (units − groups) — or why RunScenario would reject it at sc (see
+// newPlan). A Custom scenario plans nothing.
+func Plan(spec ScenarioSpec, sc Scale) (units, groups, shared int, err error) {
+	p, err := newPlan(spec, sc)
+	if err != nil {
+		return 0, 0, 0, err
+	}
 	units, groups = len(p.runs)*p.reps, len(p.members)*p.reps
-	return units, groups, units - groups
+	return units, groups, units - groups, nil
 }
 
 // unitQueue hands a plan's units to the workers of the unit lane. A group

@@ -82,6 +82,10 @@ func RunScenario(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	p, err := newPlan(spec, sc)
+	if err != nil {
+		return nil, err
+	}
 	if pool == nil {
 		pool = NewPool(0)
 	}
@@ -100,7 +104,6 @@ func RunScenario(spec ScenarioSpec, sc Scale, pool *Pool) (*Result, error) {
 		return res, nil
 	}
 
-	p := newPlan(spec, sc)
 	units := make([]unitResult, len(p.runs)*p.reps)
 	// Divide the pool between the unit lane and each unit's tick loop:
 	// one unit gets the full width for its shards, many units split it.
@@ -263,29 +266,8 @@ func aggregate(us []unitResult) runOutcome {
 
 // buildSystem constructs the unit's coordinate system per the run spec,
 // sharding population construction across sh where the system supports
-// it.
+// it. The plan has checked (kind, backend, r) against the capability rule.
 func buildSystem(kind SystemKind, r RunSpec, sc Scale, m latency.Substrate, seed int64, sh Sharder) (CoordSystem, error) {
-	backend := ResolveBackend(r, sc)
-	// Spec-pinned runs are rejected for these at registration (Validate);
-	// this guards the Scale.Backend / -backend override path, where a
-	// silent fallback would mislabel the output.
-	if backend == BackendLive && kind != SystemVivaldi {
-		return nil, fmt.Errorf("the live backend implements vivaldi only (got %q)", kind)
-	}
-	if backend != BackendLive && r.Faults != (FaultSpec{}) {
-		return nil, fmt.Errorf("run-level faults require the live backend (the in-memory engine has no packet network)")
-	}
-	if r.Harden.Enabled() {
-		// Spec-pinned runs are validated at registration; this guards
-		// hand-built RunSpecs (tests, library callers) with an error
-		// instead of the system constructor's panic.
-		if kind != SystemVivaldi {
-			return nil, fmt.Errorf("hardening options apply to vivaldi only (got %q)", kind)
-		}
-		if err := r.Harden.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	switch kind {
 	case SystemVivaldi:
 		var space coordspace.Space
@@ -297,7 +279,7 @@ func buildSystem(kind SystemKind, r RunSpec, sc Scale, m latency.Substrate, seed
 			}
 		}
 		cfg := vivaldi.Config{Space: space, Harden: r.Harden}
-		if backend == BackendLive {
+		if ResolveBackend(r, sc) == BackendLive {
 			return NewLiveNet(m, cfg, seed, sh, LiveNetConfig{
 				Loss:         r.Faults.Loss,
 				Duplicate:    r.Faults.Duplicate,
@@ -394,6 +376,10 @@ func runUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool, peers [][]
 		cur = 0
 	}
 	nodes, m, repSeed := r.ResolveNodes(sc), cs.Substrate(), unitSeed(kind, sc, rep)
+	var npsSys *nps.System // nil unless NPS
+	if kind == SystemNPS {
+		npsSys = npsDeployment(cs)
+	}
 
 	exclude := func(i int) bool {
 		if !cs.EligibleAttacker(i) {
@@ -408,12 +394,9 @@ func runUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool, peers [][]
 	// the main malicious set (and vice versa below): the two draws never
 	// overlap, and both populations leave the honest set before the first
 	// sample.
-	camp, err := newCampaign(cs, r, repSeed, func(i int) bool {
+	camp := newCampaign(cs, r, repSeed, func(i int) bool {
 		return malSet[i] || exclude(i)
 	})
-	if err != nil {
-		return unitResult{err: err}
-	}
 
 	u := unitResult{cleanRef: math.NaN()}
 	// One measurement buffer per unit, reused for every sample: the
@@ -446,8 +429,8 @@ func runUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool, peers [][]
 			if inj, err = cs.Inject(r.Attack, malicious, repSeed); err != nil {
 				return err
 			}
-			if fs, ok := cs.(FilterStatser); ok {
-				fs.ResetFilterStats() // count filter decisions during the attack only
+			if npsSys != nil {
+				npsSys.ResetStats() // count filter decisions during the attack only
 			}
 			injected = true
 		}
@@ -502,24 +485,23 @@ func runUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool, peers [][]
 	// Final per-node populations, from the last sample's measurement.
 	u.finalMean = metrics.Mean(errs)
 	deepest := -1
-	lay, layered := cs.(Layered)
-	if layered {
-		deepest = lay.Layers() - 1
+	if npsSys != nil {
+		deepest = npsSys.Config().Layers - 1
 	}
 	for i, e := range errs {
 		if math.IsNaN(e) {
 			continue
 		}
 		u.finals = append(u.finals, e)
-		if layered && lay.Layer(i) == deepest {
+		if npsSys != nil && npsSys.Layer(i) == deepest {
 			u.deepestFinals = append(u.deepestFinals, e)
 		}
 		if inj != nil && inj.Victims[i] {
 			u.victimFinals = append(u.victimFinals, e)
 		}
 	}
-	if fs, ok := cs.(FilterStatser); ok && injected {
-		u.filter = fs.FilterStats()
+	if npsSys != nil && injected {
+		u.filter = npsSys.Stats()
 	}
 	return u
 }
@@ -527,12 +509,9 @@ func runUnit(kind SystemKind, r RunSpec, sc Scale, rep int, tp *Pool, peers [][]
 // applyChurn replaces a Bernoulli(frac) draw of the honest population with
 // fresh joins, sharded with per-shard RNG streams: shard s of sample k
 // always uses the same stream, so churn is bit-identical for any worker
-// count.
+// count. Churn is Vivaldi-only by the capability rule.
 func applyChurn(cs CoordSystem, frac float64, seed int64, sampleIdx int, sh Sharder, malSet map[int]bool) {
-	ch, ok := cs.(Churner)
-	if !ok {
-		return
-	}
+	ch := cs.(springSystem)
 	n := cs.Size()
 	nShards := sh.NumShards(n)
 	sh.ForEach(n, func(shard, lo, hi int) {

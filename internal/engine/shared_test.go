@@ -32,7 +32,10 @@ func TestPlanPinned(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not registered", c.id)
 		}
-		units, groups, shared := engine.Plan(sp, engine.Quick)
+		units, groups, shared, err := engine.Plan(sp, engine.Quick)
+		if err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
 		if units != c.units || groups != c.groups || shared != c.shared {
 			t.Errorf("%s: plan = %d units in %d groups, %d shared; want %d/%d/%d (%s)",
 				c.id, units, groups, shared, c.units, c.groups, c.shared, c.why)
@@ -42,7 +45,7 @@ func TestPlanPinned(t *testing.T) {
 	sp, _ := engine.Get("fig01")
 	sc := engine.Quick
 	sc.VivaldiConvergeTicks = 0
-	if _, _, shared := engine.Plan(sp, sc); shared != 0 {
+	if _, _, shared, _ := engine.Plan(sp, sc); shared != 0 {
 		t.Errorf("fig01 with no convergence phase: %d shared, want 0", shared)
 	}
 }

@@ -65,7 +65,8 @@ type RunSpec struct {
 	MeasureFromStart bool
 
 	// ChurnFrac replaces this fraction of honest nodes with fresh joins
-	// every measurement period during the attack phase.
+	// every measurement period during the attack phase. It must be in
+	// [0, 1], and above 0 it needs Vivaldi (NPS has no churn path).
 	ChurnFrac float64
 
 	// Faults configures the live backend's network fault knobs for the
@@ -241,8 +242,9 @@ func (sp ScenarioSpec) EffectiveSystem(s SeriesSpec) SystemKind {
 	return sp.System
 }
 
-// Validate checks structural consistency: a system (or Custom), at least
-// one series, and the per-output run-count rules.
+// Validate checks structural consistency — a system (or Custom), at least
+// one series, the per-output run-count rules — and applies the capability
+// rule (checkRun) to every run on the backend it pins.
 func (sp ScenarioSpec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("engine: scenario with empty name")
@@ -268,30 +270,21 @@ func (sp ScenarioSpec) Validate() error {
 			if _, err := latency.ParseBackend(string(r.Substrate)); err != nil {
 				return fmt.Errorf("engine: scenario %s: series %q: %w", sp.Name, s.Label, err)
 			}
-			if _, err := ParseExecBackend(string(r.Backend)); err != nil {
+			backend, err := ParseExecBackend(string(r.Backend))
+			if err != nil {
 				return fmt.Errorf("engine: scenario %s: series %q: %w", sp.Name, s.Label, err)
 			}
-			if r.Backend == BackendLive && sys != SystemVivaldi {
-				return fmt.Errorf("engine: scenario %s: series %q: the live backend implements vivaldi only", sp.Name, s.Label)
+			if err := checkRun(sys, backend, r); err != nil {
+				return fmt.Errorf("engine: scenario %s: series %q: %w", sp.Name, s.Label, err)
 			}
-			if r.Harden.Enabled() {
-				if sys != SystemVivaldi {
-					return fmt.Errorf("engine: scenario %s: series %q: hardening options apply to vivaldi only", sp.Name, s.Label)
-				}
-				if err := r.Harden.Validate(); err != nil {
-					return fmt.Errorf("engine: scenario %s: series %q: %w", sp.Name, s.Label, err)
-				}
+			if err := r.Harden.Validate(); err != nil {
+				return fmt.Errorf("engine: scenario %s: series %q: %w", sp.Name, s.Label, err)
 			}
-			if r.Faults != (FaultSpec{}) {
-				if err := r.Faults.validate(); err != nil {
-					return fmt.Errorf("engine: scenario %s: series %q: %w", sp.Name, s.Label, err)
-				}
-				if r.Backend != BackendLive {
-					return fmt.Errorf("engine: scenario %s: series %q: run-level faults require the live backend", sp.Name, s.Label)
-				}
+			if err := r.Faults.validate(); err != nil {
+				return fmt.Errorf("engine: scenario %s: series %q: %w", sp.Name, s.Label, err)
 			}
 			if r.Schedule != nil {
-				if err := r.Schedule.Validate(sys); err != nil {
+				if err := r.Schedule.validate(); err != nil {
 					return fmt.Errorf("engine: scenario %s: series %q: %w", sp.Name, s.Label, err)
 				}
 			}
@@ -302,28 +295,6 @@ func (sp ScenarioSpec) Validate() error {
 				return fmt.Errorf("engine: scenario %s: series %q: time/CDF outputs take exactly one run, got %d",
 					sp.Name, s.Label, len(s.Runs))
 			}
-		}
-	}
-	return nil
-}
-
-// SupportsLive reports whether a live-backend override can apply to this
-// scenario: the live backend implements Vivaldi only and bypasses Custom
-// runners. (Churn runs live since the SimNode reset path landed — extC
-// and campaign churn both work under -backend live.) The returned error
-// names the first blocker (nil when the override is fine) so callers like
-// cmd/vna-sim can filter or fail upfront instead of aborting mid-loop
-// with partial output.
-func (sp ScenarioSpec) SupportsLive() error {
-	if sp.Custom != nil {
-		return fmt.Errorf("scenario %s cannot run on the live backend (custom runner)", sp.Name)
-	}
-	if sp.System != SystemVivaldi {
-		return fmt.Errorf("scenario %s cannot run on the live backend (vivaldi only)", sp.Name)
-	}
-	for _, s := range sp.Series {
-		if sp.EffectiveSystem(s) != SystemVivaldi {
-			return fmt.Errorf("scenario %s cannot run on the live backend (series %q is not vivaldi)", sp.Name, s.Label)
 		}
 	}
 	return nil

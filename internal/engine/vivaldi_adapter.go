@@ -25,7 +25,6 @@ func NewVivaldiSharded(m latency.Substrate, cfg vivaldi.Config, seed int64, sh S
 	return &vivaldiAdapter{sys: vivaldi.NewSystemSharded(m, cfg, seed, sh)}
 }
 
-func (a *vivaldiAdapter) Kind() SystemKind             { return SystemVivaldi }
 func (a *vivaldiAdapter) Size() int                    { return a.sys.Size() }
 func (a *vivaldiAdapter) Space() coordspace.Space      { return a.sys.Space() }
 func (a *vivaldiAdapter) Substrate() latency.Substrate { return a.sys.Substrate() }
@@ -36,8 +35,6 @@ func (a *vivaldiAdapter) ResetNode(i int)              { a.sys.ResetNode(i) }
 func (a *vivaldiAdapter) Neighbors(i int) []int        { return a.sys.Neighbors(i) }
 func (a *vivaldiAdapter) Clone() CoordSystem           { return &vivaldiAdapter{sys: a.sys.Clone()} }
 
-// RemoveTaps uninstalls the given nodes' attack taps — the teardown half
-// of Inject, used by campaign phases that end mid-run.
 func (a *vivaldiAdapter) RemoveTaps(ids []int) {
 	for _, id := range ids {
 		a.sys.SetTap(id, nil)
@@ -50,8 +47,7 @@ func (a *vivaldiAdapter) RemoveTaps(ids []int) {
 func (a *vivaldiAdapter) ApplyPartition(x, y []bool) int { return a.sys.ApplyPartition(x, y) }
 func (a *vivaldiAdapter) HealPartition(id int)           { a.sys.HealPartition(id) }
 
-func (a *vivaldiAdapter) Snapshot() []coordspace.Coord { return a.sys.Coords() }
-func (a *vivaldiAdapter) Store() *coordspace.Store     { return a.sys.Store() }
+func (a *vivaldiAdapter) Store() *coordspace.Store { return a.sys.Store() }
 
 func (a *vivaldiAdapter) Measure(peers [][]int, include func(int) bool, sh Sharder, out []float64) []float64 {
 	return measure(a.sys.Substrate(), a.sys.Store(), peers, include, a.sys.Adjustments(), sh, out)
